@@ -144,7 +144,7 @@ def load_csv(
     schema.check()
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

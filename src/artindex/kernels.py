@@ -1,120 +1,17 @@
-"""Hot numeric kernels: Householder least squares and the incomplete beta.
+"""The regularized incomplete beta function, in pure Python.
 
-Each kernel is written once, as plain loops over float64 arrays, and is
-JIT-compiled with numba when available. Setting ``ARTINDEX_NO_NUMBA=1``
-(or installing without numba) selects the uncompiled pure-numpy path;
-the two paths run the same algorithm and agree to floating-point
-roundoff (numba's libm bindings can differ from CPython's in the last
-bit). When compiled, the original Python function stays reachable as
-``<kernel>.py_func``, which is what ``benchmarks/bench_kernels.py`` uses
-to time the two paths against each other.
-
-These kernels dominate the runtime of the monotonicity sweeps, which
-re-fit the regression once per perturbation (hundreds to thousands of
-times per audit).
+It gives the two-sided Student-t p-values of the hedonic fit. It runs
+once per coefficient per fit, so the monotonicity audits, which refit
+the regression hundreds of times, call it hundreds of times per audit.
+It agrees with ``scipy.special.betainc`` to about 1e-16, which keeps
+scipy a test-only dependency.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
-
-NUMBA_ENV_FLAG = "ARTINDEX_NO_NUMBA"
-
-NUMBA_ENABLED = False
-if os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
 
 
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-@_jit
-def householder_factor(a, y):
-    """Reduce ``[a | y]`` by Householder reflections.
-
-    Returns ``(r, qty)`` where ``r`` is the k-by-k upper triangular factor
-    of ``a`` and ``qty`` the first k entries of ``Q^T y``. The caller is
-    responsible for checking the diagonal of ``r`` for rank deficiency
-    before back-substituting. Requires n >= k; a is not modified.
-    """
-    n, k = a.shape
-    r = a.copy()
-    qty = y.copy()
-    v = np.empty(n)
-    for j in range(k):
-        s = 0.0
-        for i in range(j, n):
-            s += r[i, j] * r[i, j]
-        norm = math.sqrt(s)
-        if norm == 0.0:
-            # zero column: leave r[j, j] = 0 for the rank check
-            continue
-        # sign choice avoids cancellation in v[j]
-        alpha = -norm if r[j, j] >= 0.0 else norm
-        v[j] = r[j, j] - alpha
-        for i in range(j + 1, n):
-            v[i] = r[i, j]
-        vtv = 0.0
-        for i in range(j, n):
-            vtv += v[i] * v[i]
-        for col in range(j + 1, k):
-            dot = 0.0
-            for i in range(j, n):
-                dot += v[i] * r[i, col]
-            f = 2.0 * dot / vtv
-            for i in range(j, n):
-                r[i, col] -= f * v[i]
-        dot = 0.0
-        for i in range(j, n):
-            dot += v[i] * qty[i]
-        f = 2.0 * dot / vtv
-        for i in range(j, n):
-            qty[i] -= f * v[i]
-        r[j, j] = alpha
-        for i in range(j + 1, n):
-            r[i, j] = 0.0
-    return r[:k, :k].copy(), qty[:k].copy()
-
-
-@_jit
-def solve_upper_triangular(r, b):
-    """Back-substitute ``r x = b`` for upper triangular ``r``."""
-    k = r.shape[0]
-    x = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        s = b[i]
-        for j in range(i + 1, k):
-            s -= r[i, j] * x[j]
-        x[i] = s / r[i, i]
-    return x
-
-
-@_jit
-def invert_upper_triangular(r):
-    """Invert an upper triangular matrix column by column."""
-    k = r.shape[0]
-    inv = np.zeros((k, k))
-    for col in range(k):
-        for i in range(col, -1, -1):
-            s = 1.0 if i == col else 0.0
-            for j in range(i + 1, k):
-                s -= r[i, j] * inv[j, col]
-            inv[i, col] = s / r[i, i]
-    return inv
-
-
-@_jit
 def _beta_continued_fraction(a, b, x):
     """Modified Lentz evaluation of the incomplete-beta continued fraction."""
     max_iter = 600
@@ -155,7 +52,6 @@ def _beta_continued_fraction(a, b, x):
     return h
 
 
-@_jit
 def regularized_incomplete_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
 

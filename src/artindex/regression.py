@@ -4,9 +4,11 @@ Fits log-price hedonic models of the form
 
     ln(price) = intercept + sum_k beta_k * z_k + sum_q delta_q * dummy_q + e
 
-by Householder QR (the normal-equations matrix is never formed), and
+by one Householder QR of the design matrix (LAPACK ``dgeqrf`` through
+``numpy.linalg.qr``; the normal-equations matrix is never formed), and
 reports standard errors, t statistics, two-sided Student-t p-values,
-R^2, and the coefficient covariance.
+R^2, and the coefficient covariance. The triangular factor serves both
+the coefficients and the covariance, so a fit factors the design once.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
 
 
 def _factor(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
+    """R and the first k entries of Q^T y, after checking |diag R| for rank."""
     x = np.ascontiguousarray(sys.design_matrix, dtype=np.float64)
     y = np.ascontiguousarray(sys.response_vector, dtype=np.float64)
     n, k = x.shape
@@ -202,22 +205,27 @@ def _factor(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
         raise ModelError("design matrix has no columns")
     if n < k:
         raise ModelError(f"underdetermined system: {n} observations for {k} columns")
-    r, qty = kernels.householder_factor(x, y)
+    q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
     largest = diag.max()
     smallest_idx = int(diag.argmin())
     if largest == 0.0 or diag[smallest_idx] < RANK_RTOL * largest:
         ratio = diag[smallest_idx] / largest if largest > 0 else 0.0
         raise RankDeficientError(sys.column_names[smallest_idx], float(ratio))
-    return r, qty
+    return r, q.T @ y
+
+
+def _solve(r: np.ndarray, qty: np.ndarray) -> np.ndarray:
+    # R is upper triangular with a nonzero diagonal, so LU factors it
+    # without row swaps and the solve is a plain back-substitution
+    coef = np.linalg.solve(r, qty)
+    coef.setflags(write=False)
+    return coef
 
 
 def solve_least_squares(sys: DesignSystem) -> np.ndarray:
     """Least-squares coefficients via Householder QR."""
-    r, qty = _factor(sys)
-    coef = kernels.solve_upper_triangular(r, qty)
-    coef.setflags(write=False)
-    return coef
+    return _solve(*_factor(sys))
 
 
 def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResult:
@@ -227,6 +235,11 @@ def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResu
     factor (sigma^2 * R^-1 R^-T); p-values are two-sided Student-t with
     N - K degrees of freedom; R^2 is measured against the mean-only model.
     """
+    r, _ = _factor(sys)
+    return _statistics(sys, coef, r)
+
+
+def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> RegressionResult:
     x = sys.design_matrix
     y = sys.response_vector
     n, k = x.shape
@@ -239,8 +252,7 @@ def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResu
     rss = float(residuals @ residuals)
     sigma2 = rss / df
 
-    r, _ = _factor(sys)
-    r_inv = kernels.invert_upper_triangular(r)
+    r_inv = np.linalg.inv(r)
     covariance = sigma2 * (r_inv @ r_inv.T)
     standard_errors = np.sqrt(np.diag(covariance))
     t_statistics = np.asarray(coef) / standard_errors
@@ -272,8 +284,8 @@ def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResu
 def fit(ds: Dataset, spec: ModelSpec) -> RegressionResult:
     """Build the design for ``spec``, solve it, and compute statistics."""
     sys = build_design(ds, spec)
-    coef = solve_least_squares(sys)
-    return regression_statistics(sys, coef)
+    r, qty = _factor(sys)
+    return _statistics(sys, _solve(r, qty), r)
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:

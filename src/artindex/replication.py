@@ -353,11 +353,14 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
     for name, ds in (("hpm_fit_ab.csv", ds_ab), ("hpm_fit_ac.csv", ds_ac)):
         result = fit(ds, EXAMPLE_SPEC)
         lines = ["term,coefficient,standard_error,t_statistic,p_value"]
-        for j, column in enumerate(result.column_names):
-            lines.append(
-                f"{column},{result.coefficients[j]!r},{result.standard_errors[j]!r},"
-                f"{result.t_statistics[j]!r},{result.p_values[j]!r}"
-            )
+        for column, *values in zip(
+            result.column_names,
+            result.coefficients,
+            result.standard_errors,
+            result.t_statistics,
+            result.p_values,
+        ):
+            lines.append(",".join([column, *(repr(float(v)) for v in values)]))
         (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     npgm_levels = {

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from artindex.cli import main
 from artindex.replication import run_replication, write_replication_outputs
 from artindex.report import Report
-from artindex import with_price_scaled
+from artindex import fit, with_price_scaled
+
+from conftest import EXAMPLE_SPEC
 
 
 def run(capsys, *argv):
@@ -239,6 +242,24 @@ class TestReproduceCommand:
             lines = (tmp_path / name).read_text().strip().splitlines()
             assert lines[0] == "period,level"
             assert [line.split(",")[0] for line in lines[1:]] == ["A", "B", "C"]
+
+    def test_fit_files_hold_plain_numbers(self, tmp_path, renoir, renoir_ac):
+        write_replication_outputs(tmp_path)
+        for name, ds in (("hpm_fit_ab.csv", renoir), ("hpm_fit_ac.csv", renoir_ac)):
+            result = fit(ds, EXAMPLE_SPEC)
+            expected = np.column_stack(
+                [
+                    result.coefficients,
+                    result.standard_errors,
+                    result.t_statistics,
+                    result.p_values,
+                ]
+            )
+            lines = (tmp_path / name).read_text().strip().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            assert [row[0] for row in rows] == list(result.column_names)
+            got = np.array([[float(cell) for cell in row[1:]] for row in rows])
+            assert np.array_equal(got, expected)
 
     def test_area_scatter_has_29_rows(self, tmp_path):
         write_replication_outputs(tmp_path)

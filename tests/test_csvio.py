@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+
 import pytest
 
 from artindex import InputSchema, ValidationError, load_csv
@@ -56,6 +58,12 @@ class TestParsing:
         path = write(tmp_path, "id,dataset,price_usd,hw_ratio\n1,A,100,1.0\n")
         with pytest.raises(ValidationError, match="column 'area_cm2' not found"):
             load_csv(path)
+
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        text = bundled_data_path().read_text(encoding="utf-8")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_csv(path) == load_csv(bundled_data_path())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):

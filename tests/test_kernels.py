@@ -1,14 +1,26 @@
-"""Numeric kernels against independent oracles (scipy, numpy, exact rationals)."""
+"""The least-squares solver and the incomplete beta against independent oracles
+(scipy, numpy, exact rationals)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special
 
-from artindex import kernels
+from artindex import (
+    ModelSpec,
+    RankDeficientError,
+    fit,
+    kernels,
+    solve_least_squares,
+    validate_dataset,
+)
+from artindex.regression import DesignSystem
+
+from conftest import EXAMPLE_SPEC
 
 
 def exact_normal_equations_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -38,11 +50,13 @@ def exact_normal_equations_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def solve(x, y):
-    r, qty = kernels.householder_factor(x, y)
-    return kernels.solve_upper_triangular(r, qty)
+    names = tuple(f"c{j}" for j in range(x.shape[1]))
+    return solve_least_squares(DesignSystem(x, y, names))
 
 
 class TestHouseholder:
+    """``solve_least_squares``: Householder QR (LAPACK) and a triangular solve."""
+
     def test_matches_numpy_lstsq(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
@@ -66,14 +80,6 @@ class TestHouseholder:
             scale = np.abs(exact).max()
             assert np.abs(got - exact).max() <= 1e-8 * max(scale, 1e-30)
 
-    def test_r_factor_matches_numpy_up_to_sign(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((12, 4))
-        y = rng.standard_normal(12)
-        r, _ = kernels.householder_factor(x, y)
-        _, r_np = np.linalg.qr(x)
-        assert np.allclose(np.abs(r), np.abs(r_np), rtol=1e-10, atol=1e-12)
-
     def test_exact_span_gives_zero_residual(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 3))
@@ -83,34 +89,37 @@ class TestHouseholder:
         assert np.allclose(got, beta, rtol=1e-12, atol=1e-12)
         assert np.allclose(x @ got, y, rtol=1e-12, atol=1e-12)
 
-    def test_zero_column_leaves_zero_diagonal(self):
+    def test_zero_column_is_rank_deficient(self):
         x = np.zeros((5, 2))
         x[:, 0] = 1.0
-        r, _ = kernels.householder_factor(x, np.ones(5))
-        assert r[1, 1] == 0.0
+        with pytest.raises(RankDeficientError) as excinfo:
+            solve_least_squares(DesignSystem(x, np.ones(5), ("intercept", "zero")))
+        assert excinfo.value.column == "zero"
 
-    def test_triangular_inverse(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((9, 4))
-        r, _ = kernels.householder_factor(x, rng.standard_normal(9))
-        inv = kernels.invert_upper_triangular(r)
-        assert np.allclose(inv @ r, np.eye(4), atol=1e-12)
+    def test_near_collinear_column_is_rank_deficient(self, renoir):
+        # z differs from 2 * area by ~1e-9 on areas given to two decimals,
+        # so its R diagonal is ~3e-13 of the largest: below RANK_RTOL
+        noise = np.random.default_rng(0).standard_normal(len(renoir))
+        records = [
+            replace(obs, extra_characteristics={"z": 2.0 * obs.area + 1e-9 * e})
+            for obs, e in zip(renoir.observations, noise)
+        ]
+        spec = ModelSpec(regressors=("area", "z"), reference_period="A")
+        with pytest.raises(RankDeficientError) as excinfo:
+            fit(validate_dataset(records), spec)
+        assert excinfo.value.column == "z"
 
-    @pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path inactive")
-    def test_jitted_and_pure_paths_agree(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((15, 4))
-        y = rng.standard_normal(15)
-        r_jit, qty_jit = kernels.householder_factor(x, y)
-        r_py, qty_py = kernels.householder_factor.py_func(x, y)
-        assert np.allclose(r_jit, r_py, rtol=1e-13, atol=1e-15)
-        assert np.allclose(qty_jit, qty_py, rtol=1e-13, atol=1e-15)
-        # numba's libm bindings (lgamma, exp) may differ from CPython's in
-        # the last bit, so the beta kernel agrees to roundoff, not bit-exact
-        a, b, z = 12.5, 0.5, 0.817
-        assert kernels.regularized_incomplete_beta(a, b, z) == pytest.approx(
-            kernels.regularized_incomplete_beta.py_func(a, b, z), rel=1e-13
-        )
+    def test_fit_factors_once(self, renoir, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        fit(renoir, EXAMPLE_SPEC)
+        assert len(calls) == 1
 
 
 class TestIncompleteBeta:
