@@ -25,6 +25,7 @@ from .domain import (
 from .errors import ArtindexError, ModelError, RankDeficientError, ValidationError
 from .indexes import (
     DecompositionReport,
+    IndexMethod,
     IndexSeries,
     decompose_index,
     hpm_index_from_result,
@@ -72,6 +73,7 @@ __all__ = [
     "Dataset",
     "DecompositionReport",
     "DesignSystem",
+    "IndexMethod",
     "IndexSeries",
     "InputSchema",
     "LevelComparison",

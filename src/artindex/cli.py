@@ -35,11 +35,11 @@ from .monotonicity import (
     DEFAULT_MULTIPLIER_GRID,
     MonotonicityReport,
     Perturbation,
-    Violation,
     check_monotonicity,
     melser_diagnostic,
     random_perturbation_audit,
     search_violations,
+    violations_from,
 )
 from .regression import ModelSpec, fit
 from .replication import write_replication_outputs
@@ -315,14 +315,14 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
     ds, data_label = _load_dataset(args)
     base = args.base if args.base is not None else ds.periods[0]
     if args.method == NPGM:
-        index_fn = npgm_method(base, args.base_value)
+        method = npgm_method(base, args.base_value)
     else:
         spec = ModelSpec(
             regressors=_parse_regressors(args.regressors),
             time_dummies=True,
             reference_period=base,
         )
-        index_fn = hpm_method(spec, args.base_value)
+        method = hpm_method(spec, args.base_value)
 
     config = {
         "data": data_label,
@@ -343,17 +343,9 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
         config["multiplier"] = args.multiplier
         target = ds.by_id(args.obs)
         pert = Perturbation({args.obs: target.price * (args.multiplier - 1.0)})
-        comparisons = check_monotonicity(ds, index_fn, pert)
-        violations = tuple(
-            Violation(
-                description=f"obs {args.obs} price x{args.multiplier:g}",
-                period=c.period,
-                level_before=c.level_before,
-                level_after=c.level_after,
-                perturbation=pert,
-            )
-            for c in comparisons
-            if not c.compliant
+        comparisons = check_monotonicity(ds, method, pert)
+        violations = violations_from(
+            f"obs {args.obs} price x{args.multiplier:g}", comparisons, pert
         )
         mono = MonotonicityReport(method=args.method, trials=1, violations=violations)
     elif args.mode == "grid":
@@ -365,13 +357,13 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
             except ValueError:
                 parser.error(f"--multipliers must be comma-separated numbers, got {args.multipliers!r}")
         config["multipliers"] = list(grid)
-        mono = search_violations(ds, index_fn, grid)
+        mono = search_violations(ds, method, grid)
     else:
         if args.seed is None:
             parser.error("--seed is required in random mode")
         config["trials"] = args.trials
         config["seed"] = args.seed
-        mono = random_perturbation_audit(ds, index_fn, args.trials, args.seed)
+        mono = random_perturbation_audit(ds, method, args.trials, args.seed)
 
     if args.melser is not None:
         config["melser"] = args.melser

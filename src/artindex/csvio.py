@@ -172,13 +172,19 @@ def load_csv(
         else:
             height = reader.number(row, schema.height_column, row_number, errors)
             width = reader.number(row, schema.width_column, row_number, errors)
+            if width is not None and not width > 0:
+                errors.append(
+                    f"row {row_number}, column {schema.width_column!r}: width must "
+                    f"be positive, got {width!r}"
+                )
+                width = None
             area = height * width if height is not None and width is not None else None
         if schema.aspect_ratio_column is not None:
             ratio = reader.number(row, schema.aspect_ratio_column, row_number, errors)
         elif height is not None and width is not None:
-            ratio = height / width if width != 0 else 0.0
+            ratio = height / width
         else:
-            # a parse error for height or width is already recorded
+            # a parse or width error is already recorded
             ratio = None
         extras = {}
         for ref in schema.extra_columns:

@@ -158,12 +158,8 @@ def restrict_to_periods(ds: Dataset, periods: Sequence[str]) -> Dataset:
     return Dataset(observations=kept, periods=tuple(wanted))
 
 
-def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Dataset:
-    """Return a copy of ``ds`` with ``increments[id]`` added to each price.
-
-    Increments must be non-negative, finite, and refer to existing ids;
-    characteristics are never touched.
-    """
+def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
+    """Raise unless every increment is a non-negative finite number for a known id."""
     errors = []
     known = {o.id for o in ds.observations}
     for obs_id, inc in increments.items():
@@ -176,6 +172,15 @@ def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Datas
             )
     if errors:
         raise ValidationError(errors)
+
+
+def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Dataset:
+    """Return a copy of ``ds`` with ``increments[id]`` added to each price.
+
+    Increments must be non-negative, finite, and refer to existing ids;
+    characteristics are never touched.
+    """
+    check_increments(ds, increments)
     new_obs = tuple(
         replace(o, price=o.price + increments[o.id]) if o.id in increments else o
         for o in ds.observations

@@ -12,6 +12,14 @@ by an exact identity: the time-dummy level equals the ratio of raw-price
 geometric means multiplied by a characteristics-adjustment factor theta.
 Pinning the log-area coefficient at one (and using no free regressors)
 collapses the hedonic index onto the npgm index exactly.
+
+Both methods are log-linear in prices while characteristics stay fixed:
+log I_q = log I_base + sum_i W[q, i] log p_i. For npgm, W[q, i] is
+1/n_q for the sales of period q and -1/n_base for the base-period sales;
+for hpm it is the period's time-dummy row of the design's pseudo-inverse,
+and the design holds no prices. :func:`npgm_method` and
+:func:`hpm_method` package each index with its W as an
+:class:`IndexMethod`, which is what the monotonicity auditors evaluate.
 """
 
 from __future__ import annotations
@@ -27,17 +35,18 @@ from .errors import ModelError
 from .regression import (
     ModelSpec,
     RegressionResult,
+    build_design,
     characteristic_value,
     dummy_column_name,
     fit,
+    pseudo_inverse,
+    solve_least_squares,
 )
 
 NPGM = "npgm"
 HPM = "hpm"
 
 DEFAULT_BASE_VALUE = 100.0
-
-IndexFunction = Callable[[Dataset], "IndexSeries"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,26 @@ class IndexSeries:
             return self.levels[period]
         except KeyError:
             raise ModelError(f"period {period!r} not in index series") from None
+
+
+@dataclass(frozen=True)
+class IndexMethod:
+    """An index method with its price weights.
+
+    Calling ``method(ds)`` computes the :class:`IndexSeries`.
+    ``method.weights(ds)`` returns W = d log I / d log p as a
+    (periods x observations) array: rows in ``ds.periods`` order, one
+    column per observation in dataset order (base-period sales included),
+    and an all-zero base row. W does not depend on prices, so raising
+    prices by increments moves each level exactly to
+    ``level[q] * exp(W[q] @ (log(p + increments) - log p))``.
+    """
+
+    series: Callable[[Dataset], IndexSeries]
+    weights: Callable[[Dataset], np.ndarray]
+
+    def __call__(self, ds: Dataset) -> IndexSeries:
+        return self.series(ds)
 
 
 @dataclass(frozen=True)
@@ -121,6 +150,18 @@ def npgm_index(
     return IndexSeries(method=NPGM, base_period=base_period, base_value=base_value, levels=levels)
 
 
+def _hpm_series(
+    coefficient: Callable[[str], float], ds: Dataset, reference: str, base_value: float
+) -> IndexSeries:
+    levels = {
+        p: base_value
+        if p == reference
+        else base_value * math.exp(coefficient(dummy_column_name(p)))
+        for p in ds.periods
+    }
+    return IndexSeries(method=HPM, base_period=reference, base_value=base_value, levels=levels)
+
+
 def hpm_index_from_result(
     result: RegressionResult,
     ds: Dataset,
@@ -128,27 +169,58 @@ def hpm_index_from_result(
     base_value: float = DEFAULT_BASE_VALUE,
 ) -> IndexSeries:
     """Time-dummy index read off an already-fitted hedonic model."""
-    reference = spec.reference_period
-    levels = {
-        p: base_value
-        if p == reference
-        else base_value * math.exp(result.coefficient(dummy_column_name(p)))
-        for p in ds.periods
-    }
-    return IndexSeries(method=HPM, base_period=reference, base_value=base_value, levels=levels)
+    return _hpm_series(result.coefficient, ds, spec.reference_period, base_value)
 
 
-def hpm_timedummy_index(
-    ds: Dataset, spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE
-) -> IndexSeries:
-    """Conventional hedonic time-dummy index: fit, then exponentiate dummies."""
+def _require_time_dummies(ds: Dataset, spec: ModelSpec, base_value: float) -> None:
     if not spec.time_dummies:
         raise ModelError("time-dummy index requires a spec with time dummies enabled")
     if spec.reference_period is None:
         raise ModelError("time dummies require a reference period")
     _require_base(ds, spec.reference_period, base_value)
-    result = fit(ds, spec)
-    return hpm_index_from_result(result, ds, spec, base_value)
+
+
+def hpm_timedummy_index(
+    ds: Dataset, spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE
+) -> IndexSeries:
+    """Conventional hedonic time-dummy index: solve OLS, exponentiate the dummies.
+
+    Only the coefficients are computed, and they are the ones :func:`fit`
+    reports, bit for bit.
+    """
+    _require_time_dummies(ds, spec, base_value)
+    sys = build_design(ds, spec)
+    coef = solve_least_squares(sys)
+    return _hpm_series(
+        lambda name: float(coef[sys.column_names.index(name)]),
+        ds,
+        spec.reference_period,
+        base_value,
+    )
+
+
+def _hpm_weights(ds: Dataset, spec: ModelSpec, base_value: float) -> np.ndarray:
+    _require_time_dummies(ds, spec, base_value)
+    sys = build_design(ds, spec)
+    pinv = pseudo_inverse(sys)
+    w = np.zeros((len(ds.periods), len(ds.observations)))
+    for q, period in enumerate(ds.periods):
+        if period != spec.reference_period:
+            w[q] = pinv[sys.column_names.index(dummy_column_name(period))]
+    return w
+
+
+def _npgm_weights(ds: Dataset, base_period: str, base_value: float) -> np.ndarray:
+    _require_base(ds, base_period, base_value)
+    position = {p: q for q, p in enumerate(ds.periods)}
+    codes = np.array([position[o.period] for o in ds.observations])
+    counts = np.bincount(codes, minlength=len(ds.periods))
+    base = position[base_period]
+    w = np.zeros((len(ds.periods), len(codes)))
+    w[codes, np.arange(len(codes))] = 1.0 / counts[codes]
+    w[:, codes == base] = -1.0 / counts[base]
+    w[base] = 0.0
+    return w
 
 
 def pinned_log_area_spec(reference_period: str) -> ModelSpec:
@@ -166,22 +238,20 @@ def pinned_log_area_spec(reference_period: str) -> ModelSpec:
     )
 
 
-def npgm_method(base_period: str, base_value: float = DEFAULT_BASE_VALUE) -> IndexFunction:
-    """Index method closure for the monotonicity auditors."""
+def npgm_method(base_period: str, base_value: float = DEFAULT_BASE_VALUE) -> IndexMethod:
+    """The npgm index anchored at ``base_period``, for the monotonicity auditors."""
+    return IndexMethod(
+        series=lambda ds: npgm_index(ds, base_period, base_value),
+        weights=lambda ds: _npgm_weights(ds, base_period, base_value),
+    )
 
-    def compute(ds: Dataset) -> IndexSeries:
-        return npgm_index(ds, base_period, base_value)
 
-    return compute
-
-
-def hpm_method(spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE) -> IndexFunction:
-    """Index method closure for the monotonicity auditors."""
-
-    def compute(ds: Dataset) -> IndexSeries:
-        return hpm_timedummy_index(ds, spec, base_value)
-
-    return compute
+def hpm_method(spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE) -> IndexMethod:
+    """The time-dummy index of ``spec``, for the monotonicity auditors."""
+    return IndexMethod(
+        series=lambda ds: hpm_timedummy_index(ds, spec, base_value),
+        weights=lambda ds: _hpm_weights(ds, spec, base_value),
+    )
 
 
 def theta_factor(

@@ -1,8 +1,7 @@
 """The regularized incomplete beta function, in pure Python.
 
-It gives the two-sided Student-t p-values of the hedonic fit. It runs
-once per coefficient per fit, so the monotonicity audits, which refit
-the regression hundreds of times, call it hundreds of times per audit.
+It gives the two-sided Student-t p-values of the hedonic fit, once per
+coefficient per fit; index levels and monotonicity audits never call it.
 It agrees with ``scipy.special.betainc`` to about 1e-16, which keeps
 scipy a test-only dependency.
 """

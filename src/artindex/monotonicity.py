@@ -1,14 +1,21 @@
-"""Monotonicity-axiom audits for index methods.
+"""Monotonicity-axiom audits for the npgm and hpm index methods.
 
 The axiom: raising any prices while holding characteristics fixed must
-not lower the index. The auditors here test it constructively, against
-any index method expressed as a ``Dataset -> IndexSeries`` callable:
+not lower the index. The auditors test it constructively against an
+:class:`~artindex.indexes.IndexMethod`, as built by
+:func:`~artindex.indexes.npgm_method` or :func:`~artindex.indexes.hpm_method`:
 
 * :func:`check_monotonicity` replays one explicit perturbation;
 * :func:`search_violations` sweeps single-observation price multipliers
   over every non-base observation;
 * :func:`random_perturbation_audit` draws seeded random non-negative
   increment vectors over the non-base observations.
+
+Both indexes are log-linear in prices with characteristics held fixed,
+and their weights W = d log I / d log p do not depend on prices. Each
+audit therefore computes the index and W once, and every perturbed level
+exactly as ``level_before[q] * exp(W[q] @ (log(p + inc) - log p))``,
+with no refit.
 
 Perturbations target observations outside the base period: levels are
 anchored ratios to the base, so only non-base perturbations make the
@@ -23,9 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import Dataset, partition_by_period, with_price_increments
+from .domain import Dataset, check_increments, partition_by_period
 from .errors import ModelError, ValidationError
-from .indexes import IndexFunction, IndexSeries
+from .indexes import IndexMethod, IndexSeries
 from .regression import characteristic_value, student_t_two_sided_p
 
 # relative slack distinguishing a genuine level drop from float noise
@@ -34,6 +41,10 @@ RELATIVE_SLACK = 1e-12
 # single-observation multiplier sweep used when no grid is supplied:
 # 1.1, 1.2, ..., 3.0
 DEFAULT_MULTIPLIER_GRID = tuple(round(1.0 + 0.1 * i, 10) for i in range(1, 21))
+
+# trials drawn per generator call in the random audit, which bounds the
+# draws held in memory at 2 * _DRAW_BLOCK * (non-base observations)
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -78,67 +89,80 @@ class MonotonicityReport:
         return not self.violations
 
 
-def _validate_perturbation(ds: Dataset, pert: Perturbation) -> None:
-    if not pert.increments:
-        raise ValidationError("perturbation has no increments")
-    known = {o.id for o in ds.observations}
-    errors = []
-    for obs_id, inc in pert.increments.items():
-        if obs_id not in known:
-            errors.append(f"perturbation references unknown observation id {obs_id!r}")
-        elif not (isinstance(inc, (int, float)) and math.isfinite(inc) and inc >= 0):
-            errors.append(
-                f"perturbation for observation {obs_id!r} must be a "
-                f"non-negative finite number, got {inc!r}"
+class _Levels:
+    """Index levels of one dataset, before and after price increments."""
+
+    def __init__(self, ds: Dataset, method: IndexMethod):
+        self.before: IndexSeries = method(ds)
+        self._periods = ds.periods
+        self._weights = method.weights(ds)
+        self._prices = np.array([o.price for o in ds.observations])
+        self._log_prices = np.log(self._prices)
+        self._level_before = np.array([self.before.levels[p] for p in ds.periods])
+
+    def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
+        """Every non-base level after adding ``increments`` (dataset order) to the prices.
+
+        A period is compliant unless it is in ``perturbed`` and its level
+        fell by more than the relative slack.
+        """
+        log_change = np.log(self._prices + increments) - self._log_prices
+        after = self._level_before * np.exp(self._weights @ log_change)
+        comparisons = []
+        for period, level_after in zip(self._periods, after.tolist()):
+            if period == self.before.base_period:
+                continue
+            level_before = self.before.levels[period]
+            dropped = (level_before - level_after) > RELATIVE_SLACK * level_before
+            comparisons.append(
+                LevelComparison(
+                    period=period,
+                    level_before=level_before,
+                    level_after=level_after,
+                    compliant=period not in perturbed or not dropped,
+                )
             )
-    if errors:
-        raise ValidationError(errors)
+        return tuple(comparisons)
 
 
-def _perturbed_periods(ds: Dataset, pert: Perturbation) -> set[str]:
-    by_id = {o.id: o.period for o in ds.observations}
-    return {by_id[i] for i, inc in pert.increments.items() if inc > 0}
-
-
-def _compare(
-    before: IndexSeries, after: IndexSeries, perturbed: set[str]
-) -> tuple[LevelComparison, ...]:
-    comparisons = []
-    for period, level_before in before.levels.items():
-        if period == before.base_period:
-            continue
-        level_after = after.levels[period]
-        dropped = (level_before - level_after) > RELATIVE_SLACK * level_before
-        compliant = period not in perturbed or not dropped
-        comparisons.append(
-            LevelComparison(
-                period=period,
-                level_before=level_before,
-                level_after=level_after,
-                compliant=compliant,
-            )
+def violations_from(
+    description: str, comparisons: Sequence[LevelComparison], pert: Perturbation
+) -> tuple[Violation, ...]:
+    """One :class:`Violation` per non-compliant comparison of one perturbation."""
+    return tuple(
+        Violation(
+            description=description,
+            period=c.period,
+            level_before=c.level_before,
+            level_after=c.level_after,
+            perturbation=pert,
         )
-    return tuple(comparisons)
+        for c in comparisons
+        if not c.compliant
+    )
 
 
 def check_monotonicity(
-    ds: Dataset, index_fn: IndexFunction, pert: Perturbation
+    ds: Dataset, method: IndexMethod, pert: Perturbation
 ) -> tuple[LevelComparison, ...]:
-    """Recompute the full index on the perturbed dataset and compare levels.
+    """Compare every non-base level before and after one perturbation.
 
     Returns one comparison per non-base period; a period is compliant
     unless it received a positive increment and its level fell by more
     than the relative slack.
     """
-    _validate_perturbation(ds, pert)
-    before = index_fn(ds)
-    after = index_fn(with_price_increments(ds, pert.increments))
-    return _compare(before, after, _perturbed_periods(ds, pert))
+    if not pert.increments:
+        raise ValidationError("perturbation has no increments")
+    check_increments(ds, pert.increments)
+    levels = _Levels(ds, method)
+    increments = np.array([float(pert.increments.get(o.id, 0.0)) for o in ds.observations])
+    perturbed = {o.period for o in ds.observations if pert.increments.get(o.id, 0) > 0}
+    return levels.compare(increments, perturbed)
 
 
 def search_violations(
     ds: Dataset,
-    index_fn: IndexFunction,
+    method: IndexMethod,
     multiplier_grid: Sequence[float] = DEFAULT_MULTIPLIER_GRID,
 ) -> MonotonicityReport:
     """Sweep single-observation price multipliers over non-base observations.
@@ -153,75 +177,67 @@ def search_violations(
         if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1):
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
-    before = index_fn(ds)
+    levels = _Levels(ds, method)
+    increments = np.zeros(len(ds.observations))
     violations = []
     trials = 0
-    for obs in ds.observations:
-        if obs.period == before.base_period:
+    for i, obs in enumerate(ds.observations):
+        if obs.period == levels.before.base_period:
             continue
         for m in grid:
             trials += 1
-            pert = Perturbation({obs.id: obs.price * (m - 1.0)})
-            after = index_fn(with_price_increments(ds, pert.increments))
-            for cmp in _compare(before, after, {obs.period}):
-                if not cmp.compliant:
-                    violations.append(
-                        Violation(
-                            description=f"obs {obs.id} price x{m:g}",
-                            period=cmp.period,
-                            level_before=cmp.level_before,
-                            level_after=cmp.level_after,
-                            perturbation=pert,
-                        )
-                    )
+            inc = obs.price * (m - 1.0)
+            increments[i] = inc
+            comparisons = levels.compare(increments, {obs.period})
+            pert = Perturbation({obs.id: inc})
+            violations.extend(violations_from(f"obs {obs.id} price x{m:g}", comparisons, pert))
+        increments[i] = 0.0
     return MonotonicityReport(
-        method=before.method, trials=trials, violations=tuple(violations)
+        method=levels.before.method, trials=trials, violations=tuple(violations)
     )
 
 
 def random_perturbation_audit(
-    ds: Dataset, index_fn: IndexFunction, trials: int, seed: int
+    ds: Dataset, method: IndexMethod, trials: int, seed: int
 ) -> MonotonicityReport:
     """Audit with seeded random non-negative increments on non-base observations.
 
     Each trial draws, for every non-base observation, an increment that is
     zero with probability one half and otherwise uniform below that
-    observation's price. Identical seeds give identical reports, and each
-    recorded violation carries its perturbation so it can be replayed
+    observation's price: first one coin per observation, then one
+    magnitude per observation. Identical seeds give identical reports, and
+    each recorded violation carries its perturbation so it can be replayed
     through :func:`check_monotonicity`.
     """
     if trials < 1:
         raise ModelError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    before = index_fn(ds)
-    targets = [o for o in ds.observations if o.period != before.base_period]
-    prices = np.array([o.price for o in targets])
+    levels = _Levels(ds, method)
+    base = levels.before.base_period
+    targets = [i for i, o in enumerate(ds.observations) if o.period != base]
+    target_ids = [ds.observations[i].id for i in targets]
+    target_periods = np.array([ds.observations[i].period for i in targets])
+    prices = np.array([ds.observations[i].price for i in targets])
 
+    increments = np.zeros(len(ds.observations))
     violations = []
-    for trial in range(trials):
-        coins = rng.random(len(targets))
-        magnitudes = rng.random(len(targets))
-        increments = np.where(coins < 0.5, 0.0, magnitudes * prices)
-        pert = Perturbation(
-            {o.id: float(inc) for o, inc in zip(targets, increments)}
-        )
-        perturbed = {o.period for o, inc in zip(targets, increments) if inc > 0}
-        if not perturbed:
-            continue
-        after = index_fn(with_price_increments(ds, pert.increments))
-        for cmp in _compare(before, after, perturbed):
-            if not cmp.compliant:
-                violations.append(
-                    Violation(
-                        description=f"trial {trial}",
-                        period=cmp.period,
-                        level_before=cmp.level_before,
-                        level_after=cmp.level_after,
-                        perturbation=pert,
-                    )
-                )
+    for start in range(0, trials, _DRAW_BLOCK):
+        # one draw per block yields the same stream as a coins draw and a
+        # magnitudes draw per trial
+        draws = rng.random((min(_DRAW_BLOCK, trials - start), 2, len(targets)))
+        block = np.where(draws[:, 0] < 0.5, 0.0, draws[:, 1] * prices)
+        for offset, trial_increments in enumerate(block):
+            perturbed = set(target_periods[trial_increments > 0].tolist())
+            if not perturbed:
+                continue
+            increments[targets] = trial_increments
+            comparisons = levels.compare(increments, perturbed)
+            if all(c.compliant for c in comparisons):
+                continue
+            pert = Perturbation(dict(zip(target_ids, trial_increments.tolist())))
+            violations.extend(violations_from(f"trial {start + offset}", comparisons, pert))
     return MonotonicityReport(
-        method=before.method, trials=trials, violations=tuple(violations)
+        method=levels.before.method, trials=trials, violations=tuple(violations)
     )
 
 

@@ -197,9 +197,8 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
 
 
 def _factor(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
-    """R and the first k entries of Q^T y, after checking |diag R| for rank."""
+    """Q and R of the reduced QR of X, after checking |diag R| for rank."""
     x = np.ascontiguousarray(sys.design_matrix, dtype=np.float64)
-    y = np.ascontiguousarray(sys.response_vector, dtype=np.float64)
     n, k = x.shape
     if k == 0:
         raise ModelError("design matrix has no columns")
@@ -212,20 +211,31 @@ def _factor(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
     if largest == 0.0 or diag[smallest_idx] < RANK_RTOL * largest:
         ratio = diag[smallest_idx] / largest if largest > 0 else 0.0
         raise RankDeficientError(sys.column_names[smallest_idx], float(ratio))
-    return r, q.T @ y
+    return q, r
 
 
-def _solve(r: np.ndarray, qty: np.ndarray) -> np.ndarray:
+def _solve(sys: DesignSystem, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    y = np.ascontiguousarray(sys.response_vector, dtype=np.float64)
     # R is upper triangular with a nonzero diagonal, so LU factors it
     # without row swaps and the solve is a plain back-substitution
-    coef = np.linalg.solve(r, qty)
+    coef = np.linalg.solve(r, q.T @ y)
     coef.setflags(write=False)
     return coef
 
 
 def solve_least_squares(sys: DesignSystem) -> np.ndarray:
     """Least-squares coefficients via Householder QR."""
-    return _solve(*_factor(sys))
+    return _solve(sys, *_factor(sys))
+
+
+def pseudo_inverse(sys: DesignSystem) -> np.ndarray:
+    """X+ = R^-1 Q^T (columns x observations), from the factorization :func:`fit` uses.
+
+    Row j holds d coef_j / d y_i, so for a time-dummy column it is the
+    sensitivity of that log index level to every log price.
+    """
+    q, r = _factor(sys)
+    return np.linalg.solve(r, q.T)
 
 
 def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResult:
@@ -235,7 +245,7 @@ def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResu
     factor (sigma^2 * R^-1 R^-T); p-values are two-sided Student-t with
     N - K degrees of freedom; R^2 is measured against the mean-only model.
     """
-    r, _ = _factor(sys)
+    _, r = _factor(sys)
     return _statistics(sys, coef, r)
 
 
@@ -284,8 +294,8 @@ def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> Regressio
 def fit(ds: Dataset, spec: ModelSpec) -> RegressionResult:
     """Build the design for ``spec``, solve it, and compute statistics."""
     sys = build_design(ds, spec)
-    r, qty = _factor(sys)
-    return _statistics(sys, _solve(r, qty), r)
+    q, r = _factor(sys)
+    return _statistics(sys, _solve(sys, q, r), r)
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:

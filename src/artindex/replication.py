@@ -175,7 +175,14 @@ def _check_fit(
 
 def run_replication(dataset: Dataset | None = None) -> ReplicationSummary:
     """Recompute the bundled example and check it against reference values."""
-    ds_ab = dataset if dataset is not None else load_bundled_dataset()
+    summary, _, _ = _replicate(dataset if dataset is not None else load_bundled_dataset())
+    return summary
+
+
+def _replicate(
+    ds_ab: Dataset,
+) -> tuple[ReplicationSummary, dict[str, RegressionResult], dict[str, dict[str, float]]]:
+    """The checks, plus the fits and levels the output files hold, keyed by file name."""
     ds_ac = perturbed_dataset(ds_ab)
     checks: list[CheckResult] = []
 
@@ -327,7 +334,12 @@ def run_replication(dataset: Dataset | None = None) -> ReplicationSummary:
         )
     )
 
-    return ReplicationSummary(checks=tuple(checks))
+    fits = {"hpm_fit_ab.csv": result_ab, "hpm_fit_ac.csv": result_ac}
+    levels = {
+        "index_levels_npgm.csv": {"A": 100.0, "B": i_ba_npgm, "C": i_ca_npgm},
+        "index_levels_hpm.csv": {"A": 100.0, "B": i_ba_hpm, "C": i_ca_hpm},
+    }
+    return ReplicationSummary(checks=tuple(checks)), fits, levels
 
 
 def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None) -> ReplicationSummary:
@@ -335,13 +347,13 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
 
     Emits the unitary-price table, both fit tables, the two index
     plot-data files (periods A, B, C), the area-by-period scatter data,
-    and ``summary.txt`` with one pass/fail line per check.
+    and ``summary.txt`` with one pass/fail line per check. The files
+    serialize what the harness computed; nothing is refitted.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds_ab = dataset if dataset is not None else load_bundled_dataset()
-    ds_ac = perturbed_dataset(ds_ab)
-    summary = run_replication(ds_ab)
+    summary, fits, levels_by_file = _replicate(ds_ab)
 
     lines = ["id,dataset,price_usd,area_cm2,unit_price_usd_per_cm2"]
     for obs in ds_ab.observations:
@@ -350,8 +362,7 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
         )
     (outdir / "unit_prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for name, ds in (("hpm_fit_ab.csv", ds_ab), ("hpm_fit_ac.csv", ds_ac)):
-        result = fit(ds, EXAMPLE_SPEC)
+    for name, result in fits.items():
         lines = ["term,coefficient,standard_error,t_statistic,p_value"]
         for column, *values in zip(
             result.column_names,
@@ -363,17 +374,7 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
             lines.append(",".join([column, *(repr(float(v)) for v in values)]))
         (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    npgm_levels = {
-        "A": 100.0,
-        "B": npgm_index(ds_ab, "A").level("B"),
-        "C": npgm_index(ds_ac, "A").level("C"),
-    }
-    hpm_levels = {
-        "A": 100.0,
-        "B": hpm_timedummy_index(ds_ab, EXAMPLE_SPEC).level("B"),
-        "C": hpm_timedummy_index(ds_ac, EXAMPLE_SPEC).level("C"),
-    }
-    for name, levels in (("index_levels_npgm.csv", npgm_levels), ("index_levels_hpm.csv", hpm_levels)):
+    for name, levels in levels_by_file.items():
         lines = ["period,level"] + [f"{p},{v!r}" for p, v in levels.items()]
         (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

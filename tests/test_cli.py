@@ -162,6 +162,15 @@ class TestMonotonicityCommand:
             0.6344, abs=0.001
         )
 
+    def test_zero_width_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "hw.csv"
+        path.write_text("id,dataset,price_usd,h,w\n1,A,100,4,2\n2,A,120,3,0\n3,B,300,3,5\n")
+        code, _, err = run(
+            capsys, "index", "--data", str(path), "--height-column", "h", "--width-column", "w"
+        )
+        assert code == 3
+        assert err == "error: row 2, column 'w': width must be positive, got 0.0\n"
+
     def test_unknown_obs_is_data_error(self, capsys):
         code, _, err = run(
             capsys, "monotonicity", "--mode", "single", "--obs", "99"
@@ -235,6 +244,21 @@ class TestReproduceCommand:
         assert failing == [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failing) == 1 and "fit_ac_p_values" in failing[0]
         assert "aspect_ratio" in failing[0]
+
+    def test_writing_fits_nothing_the_harness_did_not(self, tmp_path, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        run_replication()
+        harness = len(calls)
+        calls.clear()
+        write_replication_outputs(tmp_path)
+        assert len(calls) == harness
 
     def test_index_plot_files_have_three_periods(self, tmp_path):
         write_replication_outputs(tmp_path)

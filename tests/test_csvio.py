@@ -123,6 +123,22 @@ class TestHeightWidth:
         assert ds.by_id("2").area == 15.0
         assert ds.by_id("2").aspect_ratio == pytest.approx(0.6)
 
+    # a negative height and width would multiply to a positive area and ratio
+    @pytest.mark.parametrize("height,width", [("3", "0"), ("-3", "-2")])
+    def test_non_positive_width_is_a_width_error(self, tmp_path, height, width):
+        path = write(
+            tmp_path,
+            f"id,dataset,price_usd,h,w\n1,A,100,4,2\n2,A,120,{height},{width}\n3,B,300,3,5\n",
+        )
+        schema = InputSchema(
+            area_column=None, height_column="h", width_column="w", aspect_ratio_column=None
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_csv(path, schema)
+        assert exc.value.errors == [
+            f"row 2, column 'w': width must be positive, got {float(width)!r}"
+        ]
+
     def test_explicit_ratio_overrides_derived(self, tmp_path):
         path = write(
             tmp_path,

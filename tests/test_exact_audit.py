@@ -1,0 +1,260 @@
+"""The exact audits against the refit oracle, and the index weights behind them."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from artindex import (
+    ModelSpec,
+    Perturbation,
+    RankDeficientError,
+    SaleObservation,
+    check_monotonicity,
+    fit,
+    hpm_method,
+    npgm_method,
+    pinned_log_area_spec,
+    random_perturbation_audit,
+    search_violations,
+    validate_dataset,
+)
+from artindex import monotonicity
+
+from conftest import EXAMPLE_SPEC
+from refit_oracle import refit_check, refit_random, refit_search
+
+LEVEL_RTOL = 1e-12
+
+
+@st.composite
+def designs(draw):
+    """A dataset with 2-6 unequal periods and the hedonic spec to audit it with.
+
+    Area rises with the period so that some sales carry negative hpm
+    weight; 0-2 extra characteristics enter the model, and optionally a
+    column within 1e-6 relative noise of a linear function of area that
+    still passes the rank check.
+    """
+    n_periods = draw(st.integers(2, 6), label="periods")
+    sizes = draw(st.lists(st.integers(2, 8), min_size=n_periods, max_size=n_periods), label="sizes")
+    n_extra = draw(st.integers(0, 2), label="extras")
+    near_collinear = draw(st.booleans(), label="near_collinear")
+    trend = draw(st.floats(0.0, 1.5), label="area_trend")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    base = draw(st.integers(0, n_periods - 1), label="base")
+
+    rng = np.random.default_rng(seed)
+    periods = [f"P{q}" for q in range(n_periods)]
+    records = []
+    for q, size in enumerate(sizes):
+        for _ in range(size):
+            area = float(np.exp(rng.normal(5.0 + trend * q, 0.8)))
+            extras = {f"x{j}": float(rng.normal()) for j in range(n_extra)}
+            if near_collinear:
+                extras["z"] = 2.0 * area + 1.0 + 1e-6 * area * float(rng.normal())
+            records.append(
+                SaleObservation(
+                    id=f"s{len(records)}",
+                    period=periods[q],
+                    price=float(np.exp(rng.normal(11.0 + 0.0004 * area, 0.6))),
+                    area=area,
+                    aspect_ratio=float(rng.uniform(0.4, 1.6)),
+                    extra_characteristics=extras,
+                )
+            )
+    order = rng.permutation(len(records))
+    ds = validate_dataset([records[i] for i in order], period_order=periods)
+    regressors = ("area", "aspect_ratio") + tuple(f"x{j}" for j in range(n_extra))
+    if near_collinear:
+        regressors += ("z",)
+    spec = ModelSpec(regressors=regressors, reference_period=periods[base])
+    assume(len(ds) > len(regressors) + n_periods)
+    try:
+        fit(ds, spec)
+    except RankDeficientError:
+        assume(False)
+    return ds, spec
+
+
+def methods(ds, spec):
+    return (npgm_method(spec.reference_period), hpm_method(spec))
+
+
+def assert_same_comparisons(got, want):
+    assert [(c.period, c.compliant) for c in got] == [(c.period, c.compliant) for c in want]
+    for g, w in zip(got, want):
+        assert g.level_before == w.level_before
+        assert g.level_after == pytest.approx(w.level_after, rel=LEVEL_RTOL)
+
+
+def assert_same_report(got, want):
+    assert (got.method, got.trials) == (want.method, want.trials)
+    key = lambda v: (v.description, v.period, dict(v.perturbation.increments))
+    assert [key(v) for v in got.violations] == [key(v) for v in want.violations]
+    for g, w in zip(got.violations, want.violations):
+        assert g.level_before == w.level_before
+        assert g.level_after == pytest.approx(w.level_after, rel=LEVEL_RTOL)
+
+
+HYPOTHESIS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+class TestParityWithRefit:
+    @given(design=designs(), data=st.data())
+    @HYPOTHESIS
+    def test_single_matches_refit(self, design, data):
+        ds, spec = design
+        # any sales may move, base-period ones included
+        chosen = data.draw(
+            st.lists(st.sampled_from([o.id for o in ds.observations]), min_size=1, unique=True),
+            label="perturbed ids",
+        )
+        pert = Perturbation(
+            {
+                i: data.draw(st.floats(0.0, 2.0), label=f"increment {i}") * ds.by_id(i).price
+                for i in chosen
+            }
+        )
+        for method in methods(ds, spec):
+            assert_same_comparisons(
+                check_monotonicity(ds, method, pert), refit_check(ds, method, pert)
+            )
+
+    @given(design=designs())
+    @HYPOTHESIS
+    def test_grid_matches_refit(self, design):
+        ds, spec = design
+        for method in methods(ds, spec):
+            assert_same_report(
+                search_violations(ds, method, [1.3, 2.5]), refit_search(ds, method, [1.3, 2.5])
+            )
+
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1))
+    @HYPOTHESIS
+    def test_random_matches_refit(self, design, seed):
+        ds, spec = design
+        trials = monotonicity._DRAW_BLOCK + 3
+        for method in methods(ds, spec):
+            assert_same_report(
+                random_perturbation_audit(ds, method, trials, seed),
+                refit_random(ds, method, trials, seed),
+            )
+
+    def test_bundled_random_audit_matches_refit(self, renoir):
+        # several blocks of draws, with violations to compare draw for draw
+        trials = 3 * monotonicity._DRAW_BLOCK + 7
+        method = hpm_method(EXAMPLE_SPEC)
+        report = random_perturbation_audit(renoir, method, trials, 7)
+        assert report.violations
+        assert_same_report(report, refit_random(renoir, method, trials, 7))
+
+    def test_bundled_grid_matches_refit(self, renoir):
+        for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
+            assert_same_report(
+                search_violations(renoir, method),
+                refit_search(renoir, method, monotonicity.DEFAULT_MULTIPLIER_GRID),
+            )
+
+
+class TestWeights:
+    @given(design=designs())
+    @HYPOTHESIS
+    def test_pinned_hpm_weights_are_npgm_weights(self, design):
+        ds, spec = design
+        base = spec.reference_period
+        np.testing.assert_allclose(
+            hpm_method(pinned_log_area_spec(base)).weights(ds),
+            npgm_method(base).weights(ds),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    @given(design=designs())
+    @HYPOTHESIS
+    def test_shape_and_base_row(self, design):
+        ds, spec = design
+        for method in methods(ds, spec):
+            w = method.weights(ds)
+            assert w.shape == (len(ds.periods), len(ds))
+            assert not w[ds.periods.index(spec.reference_period)].any()
+
+    def test_npgm_weights_touch_two_periods_per_row(self):
+        records = [
+            SaleObservation(f"{p}{i}", p, 100.0 + i, 10.0, 1.0)
+            for p, n in (("A", 2), ("B", 3), ("C", 4))
+            for i in range(n)
+        ]
+        ds = validate_dataset(records)
+        w = npgm_method("B").weights(ds)
+        period = np.array([o.period for o in ds.observations])
+        expected = np.zeros((3, len(ds)))
+        expected[0, period == "A"] = 1 / 2
+        expected[0, period == "B"] = -1 / 3
+        expected[2, period == "C"] = 1 / 4
+        expected[2, period == "B"] = -1 / 3
+        assert np.array_equal(w, expected)
+
+    def test_negative_hpm_weights_are_the_bundled_violators(self, renoir):
+        w = hpm_method(EXAMPLE_SPEC).weights(renoir)
+        negative = {o.id for o, wi in zip(renoir.observations, w[1]) if o.period == "B" and wi < 0}
+        assert negative == {"25", "28", "29"}
+
+
+def count_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls
+
+
+class TestCost:
+    def test_hpm_audit_factorizations_do_not_grow_with_trials(self, renoir, monkeypatch):
+        calls = count_qr(monkeypatch)
+        method = hpm_method(EXAMPLE_SPEC)
+        counts = []
+        for trials in (5, 500):
+            calls.clear()
+            random_perturbation_audit(renoir, method, trials, 7)
+            counts.append(len(calls))
+        calls.clear()
+        search_violations(renoir, method)
+        counts.append(len(calls))
+        assert counts == [2, 2, 2]
+
+    @pytest.mark.parametrize("block", [1, 5, 10_000])
+    def test_draw_block_does_not_change_the_audit(self, renoir, monkeypatch, block):
+        method = hpm_method(EXAMPLE_SPEC)
+        default = random_perturbation_audit(renoir, method, 150, 3)
+        monkeypatch.setattr(monotonicity, "_DRAW_BLOCK", block)
+        assert random_perturbation_audit(renoir, method, 150, 3) == default
+
+
+class TestRankDeficiency:
+    def test_audits_raise_what_fit_raises(self, renoir):
+        ds = validate_dataset(
+            [replace(o, extra_characteristics={"z": 2.0 * o.area}) for o in renoir.observations]
+        )
+        spec = ModelSpec(regressors=("area", "aspect_ratio", "z"), reference_period="A")
+        with pytest.raises(RankDeficientError) as from_fit:
+            fit(ds, spec)
+        method = hpm_method(spec)
+        audits = (
+            lambda: check_monotonicity(ds, method, Perturbation({"29": 1.0})),
+            lambda: search_violations(ds, method),
+            lambda: random_perturbation_audit(ds, method, 10, 1),
+            lambda: method.weights(ds),
+        )
+        for audit in audits:
+            with pytest.raises(RankDeficientError) as from_audit:
+                audit()
+            assert str(from_audit.value) == str(from_fit.value)
+            assert from_audit.value.column == from_fit.value.column

@@ -13,6 +13,7 @@ from artindex import (
     ModelSpec,
     SaleObservation,
     decompose_index,
+    hpm_index_from_result,
     hpm_timedummy_index,
     npgm_index,
     npgm_level,
@@ -21,6 +22,7 @@ from artindex import (
     validate_dataset,
     with_price_increments,
 )
+from artindex import kernels
 from artindex.regression import fit
 
 from conftest import EXAMPLE_SPEC, TABLE1
@@ -127,6 +129,19 @@ class TestHpmIndex:
         i_ca = hpm_timedummy_index(renoir_ac, EXAMPLE_SPEC).level("C")
         assert i_ca == pytest.approx(100 * math.exp(1.038821), abs=0.5)
         assert i_ca < i_ba
+
+    def test_reads_only_coefficients(self, renoir, renoir_ac, monkeypatch):
+        expected = [
+            hpm_index_from_result(fit(ds, EXAMPLE_SPEC), ds, EXAMPLE_SPEC)
+            for ds in (renoir, renoir_ac)
+        ]
+
+        def no_p_values(*args):
+            raise AssertionError("the index must not compute p-values")
+
+        monkeypatch.setattr(kernels, "regularized_incomplete_beta", no_p_values)
+        got = [hpm_timedummy_index(ds, EXAMPLE_SPEC) for ds in (renoir, renoir_ac)]
+        assert got == expected
 
     def test_requires_time_dummies(self, renoir):
         spec = ModelSpec(regressors=("area",), time_dummies=False)
