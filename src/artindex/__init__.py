@@ -13,8 +13,6 @@ from .csvio import InputSchema, bundled_data_path, load_bundled_dataset, load_cs
 from .domain import (
     Dataset,
     SaleObservation,
-    UnitaryPrice,
-    normalize_price,
     partition_by_period,
     restrict_to_periods,
     validate_dataset,
@@ -54,11 +52,9 @@ from .regression import (
     DesignSystem,
     ModelSpec,
     RegressionResult,
-    available_characteristics,
     build_design,
     characteristic_value,
     fit,
-    regression_statistics,
     solve_least_squares,
     student_t_two_sided_p,
 )
@@ -85,10 +81,8 @@ __all__ = [
     "RegressionResult",
     "Report",
     "SaleObservation",
-    "UnitaryPrice",
     "ValidationError",
     "Violation",
-    "available_characteristics",
     "build_design",
     "bundled_data_path",
     "characteristic_value",
@@ -102,7 +96,6 @@ __all__ = [
     "load_csv",
     "melser_diagnostic",
     "melser_significance",
-    "normalize_price",
     "npgm_index",
     "npgm_level",
     "npgm_method",
@@ -110,7 +103,6 @@ __all__ = [
     "pinned_log_area_spec",
     "price_geometric_mean",
     "random_perturbation_audit",
-    "regression_statistics",
     "restrict_to_periods",
     "run_replication",
     "search_violations",

@@ -252,6 +252,10 @@ def _parse_regressors(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
+def _model_spec(args, reference: str) -> ModelSpec:
+    return ModelSpec(reference_period=reference, regressors=_parse_regressors(args.regressors))
+
+
 def _emit(report: Report, table_text: str, fmt: str) -> None:
     print(report.to_json() if fmt == "json" else table_text)
 
@@ -272,11 +276,7 @@ def _cmd_index(args) -> int:
         body = {"index": index_series_dict(series)}
         table = render_index_table(series)
     else:
-        spec = ModelSpec(
-            regressors=_parse_regressors(args.regressors),
-            time_dummies=True,
-            reference_period=base,
-        )
+        spec = _model_spec(args, base)
         result = fit(ds, spec)
         series = hpm_index_from_result(result, ds, spec, args.base_value)
         body = {
@@ -294,11 +294,7 @@ def _cmd_index(args) -> int:
 def _cmd_fit(args) -> int:
     ds, data_label = _load_dataset(args)
     reference = args.reference if args.reference is not None else ds.periods[0]
-    spec = ModelSpec(
-        regressors=_parse_regressors(args.regressors),
-        time_dummies=True,
-        reference_period=reference,
-    )
+    spec = _model_spec(args, reference)
     result = fit(ds, spec)
     config = {
         "data": data_label,
@@ -317,12 +313,7 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
     if args.method == NPGM:
         method = npgm_method(base, args.base_value)
     else:
-        spec = ModelSpec(
-            regressors=_parse_regressors(args.regressors),
-            time_dummies=True,
-            reference_period=base,
-        )
-        method = hpm_method(spec, args.base_value)
+        method = hpm_method(_model_spec(args, base), args.base_value)
 
     config = {
         "data": data_label,

@@ -1,4 +1,4 @@
-"""Sale-record data model: validation, unitary prices, period partitioning.
+"""Sale-record data model: validation, period partitioning, price perturbations.
 
 Every type here is immutable after construction and every function is
 pure, so all of them are safe to use concurrently without locking.
@@ -33,13 +33,6 @@ class SaleObservation:
 
 
 @dataclass(frozen=True)
-class UnitaryPrice:
-    """Normalized price: currency per unit of area (USD / cm^2)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Validated, period-partitioned collection of sale observations.
 
@@ -64,14 +57,6 @@ class Dataset:
 
 def _positive_finite(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-
-
-def normalize_price(obs: SaleObservation) -> UnitaryPrice:
-    """Return the observation's unitary price, price divided by area."""
-    problems = _record_problems(obs)
-    if problems:
-        raise ValidationError(problems)
-    return UnitaryPrice(obs.price / obs.area)
 
 
 def _record_problems(obs: SaleObservation) -> list[str]:

@@ -7,7 +7,7 @@ Two index methods are provided:
 * ``hpm`` — the conventional hedonic time-dummy index: fit a log-price
   regression with period dummies and exponentiate the dummy coefficients.
 
-For any OLS hedonic fit with intercept and time dummies the two are tied
+Every hedonic fit has an intercept and time dummies, so the two are tied
 by an exact identity: the time-dummy level equals the ratio of raw-price
 geometric means multiplied by a characteristics-adjustment factor theta.
 Pinning the log-area coefficient at one (and using no free regressors)
@@ -169,15 +169,8 @@ def hpm_index_from_result(
     base_value: float = DEFAULT_BASE_VALUE,
 ) -> IndexSeries:
     """Time-dummy index read off an already-fitted hedonic model."""
-    return _hpm_series(result.coefficient, ds, spec.reference_period, base_value)
-
-
-def _require_time_dummies(ds: Dataset, spec: ModelSpec, base_value: float) -> None:
-    if not spec.time_dummies:
-        raise ModelError("time-dummy index requires a spec with time dummies enabled")
-    if spec.reference_period is None:
-        raise ModelError("time dummies require a reference period")
     _require_base(ds, spec.reference_period, base_value)
+    return _hpm_series(result.coefficient, ds, spec.reference_period, base_value)
 
 
 def hpm_timedummy_index(
@@ -188,7 +181,7 @@ def hpm_timedummy_index(
     Only the coefficients are computed, and they are the ones :func:`fit`
     reports, bit for bit.
     """
-    _require_time_dummies(ds, spec, base_value)
+    _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
     coef = solve_least_squares(sys)
     return _hpm_series(
@@ -200,7 +193,7 @@ def hpm_timedummy_index(
 
 
 def _hpm_weights(ds: Dataset, spec: ModelSpec, base_value: float) -> np.ndarray:
-    _require_time_dummies(ds, spec, base_value)
+    _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
     pinv = pseudo_inverse(sys)
     w = np.zeros((len(ds.periods), len(ds.observations)))
@@ -230,12 +223,7 @@ def pinned_log_area_spec(reference_period: str) -> ModelSpec:
     characteristics remain, so the regression is run on log unitary
     prices.
     """
-    return ModelSpec(
-        regressors=(),
-        time_dummies=True,
-        reference_period=reference_period,
-        pinned=(("log_area", 1.0),),
-    )
+    return ModelSpec(reference_period=reference_period, pinned=(("log_area", 1.0),))
 
 
 def npgm_method(base_period: str, base_value: float = DEFAULT_BASE_VALUE) -> IndexMethod:
@@ -298,7 +286,7 @@ def decompose_index(
     theta against the exponentiated time dummy.
     """
     sub = restrict_to_periods(ds, [period0, period1])
-    two_spec = replace(spec, time_dummies=True, reference_period=period0)
+    two_spec = replace(spec, reference_period=period0)
     result = fit(sub, two_spec)
 
     parts = partition_by_period(sub)

@@ -1,14 +1,19 @@
-"""Ordinary least squares with full inferential statistics.
+"""Ordinary least squares for the hedonic time-dummy model.
 
-Fits log-price hedonic models of the form
+There is one model shape: the log price (less any pinned terms) on an
+intercept, the chosen characteristics and one 0/1 dummy per period other
+than the reference period,
 
     ln(price) = intercept + sum_k beta_k * z_k + sum_q delta_q * dummy_q + e
 
-by one Householder QR of the design matrix (LAPACK ``dgeqrf`` through
-``numpy.linalg.qr``; the normal-equations matrix is never formed), and
-reports standard errors, t statistics, two-sided Student-t p-values,
-R^2, and the coefficient covariance. The triangular factor serves both
-the coefficients and the covariance, so a fit factors the design once.
+:func:`fit` solves it by one Householder QR of the design matrix (LAPACK
+``dgeqrf`` through ``numpy.linalg.qr``; the normal-equations matrix is
+never formed) and reports standard errors, t statistics, two-sided
+Student-t p-values, R^2, and the coefficient covariance. The triangular
+factor serves both the coefficients and the covariance, so a fit factors
+the design once. :func:`solve_least_squares` and :func:`pseudo_inverse`
+use the same factorization for callers that need only the coefficients
+or their sensitivity to the response.
 """
 
 from __future__ import annotations
@@ -57,30 +62,20 @@ def characteristic_value(obs: SaleObservation, name: str) -> float:
         ) from None
 
 
-def available_characteristics(ds: Dataset) -> tuple[str, ...]:
-    """Names usable as regressors: built-ins plus extras present on all records."""
-    extras: set[str] | None = None
-    for obs in ds.observations:
-        keys = set(obs.extra_characteristics)
-        extras = keys if extras is None else extras & keys
-    return _BUILTIN_CHARACTERISTICS + tuple(sorted(extras or ()))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Hedonic model specification.
+    """Hedonic time-dummy model specification.
 
-    The response is always the natural log of price, less any pinned
-    terms. ``regressors`` are free characteristics fitted by OLS;
-    ``pinned`` fixes chosen characteristics at given coefficients by
-    moving them onto the response (algebraically exact). Time dummies use
-    ``reference_period`` as the omitted category.
+    Every model has an intercept and one time dummy per period except
+    ``reference_period``, the omitted category. The response is the
+    natural log of price, less any pinned terms. ``regressors`` are free
+    characteristics fitted by OLS; ``pinned`` fixes chosen
+    characteristics at given coefficients by moving them onto the
+    response (algebraically exact).
     """
 
+    reference_period: str
     regressors: tuple[str, ...] = ()
-    time_dummies: bool = True
-    reference_period: str | None = None
-    include_intercept: bool = True
     pinned: tuple[tuple[str, float], ...] = ()
 
     def all_characteristics(self) -> tuple[str, ...]:
@@ -98,10 +93,6 @@ class DesignSystem:
     @property
     def n_observations(self) -> int:
         return self.design_matrix.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.design_matrix.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,29 +139,24 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
     names = list(spec.all_characteristics())
     if len(set(names)) != len(names):
         raise ModelError(f"regressor names must be distinct, got {names}")
-    if spec.time_dummies:
-        if spec.reference_period is None:
-            raise ModelError("time dummies require a reference period")
-        if spec.reference_period not in ds.periods:
+    if spec.reference_period not in ds.periods:
+        raise ModelError(
+            f"reference period {spec.reference_period!r} not in dataset "
+            f"periods {list(ds.periods)}"
+        )
+    dummy_periods = tuple(p for p in ds.periods if p != spec.reference_period)
+    dummies = [dummy_column_name(p) for p in dummy_periods]
+    for name in spec.regressors:
+        if name == "intercept" or name in dummies:
             raise ModelError(
-                f"reference period {spec.reference_period!r} not in dataset "
-                f"periods {list(ds.periods)}"
+                f"regressor {name!r} has the name of a generated design column; "
+                "rename that characteristic"
             )
+    column_names = ["intercept", *spec.regressors, *dummies]
 
     n = len(ds.observations)
-    dummy_periods = (
-        tuple(p for p in ds.periods if p != spec.reference_period)
-        if spec.time_dummies
-        else ()
-    )
-    column_names: list[str] = []
-    if spec.include_intercept:
-        column_names.append("intercept")
-    column_names.extend(spec.regressors)
-    column_names.extend(dummy_column_name(p) for p in dummy_periods)
-
-    k = len(column_names)
-    x = np.zeros((n, k))
+    x = np.zeros((n, len(column_names)))
+    x[:, 0] = 1.0
     y = np.empty(n)
     dummy_index = {p: column_names.index(dummy_column_name(p)) for p in dummy_periods}
 
@@ -181,13 +167,8 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
         for name, coef in spec.pinned:
             response -= coef * characteristic_value(obs, name)
         y[i] = response
-        col = 0
-        if spec.include_intercept:
-            x[i, 0] = 1.0
-            col = 1
-        for name in spec.regressors:
+        for col, name in enumerate(spec.regressors, start=1):
             x[i, col] = characteristic_value(obs, name)
-            col += 1
         if obs.period in dummy_index:
             x[i, dummy_index[obs.period]] = 1.0
 
@@ -238,18 +219,10 @@ def pseudo_inverse(sys: DesignSystem) -> np.ndarray:
     return np.linalg.solve(r, q.T)
 
 
-def regression_statistics(sys: DesignSystem, coef: np.ndarray) -> RegressionResult:
-    """Inferential statistics for a solved system.
-
-    sigma^2 is RSS / (N - K); the covariance comes from the triangular
-    factor (sigma^2 * R^-1 R^-T); p-values are two-sided Student-t with
-    N - K degrees of freedom; R^2 is measured against the mean-only model.
-    """
-    _, r = _factor(sys)
-    return _statistics(sys, coef, r)
-
-
 def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> RegressionResult:
+    # sigma^2 is RSS / (N - K); the covariance comes from the triangular
+    # factor (sigma^2 * R^-1 R^-T); p-values are two-sided Student-t with
+    # N - K degrees of freedom; R^2 is measured against the mean-only model
     x = sys.design_matrix
     y = sys.response_vector
     n, k = x.shape

@@ -37,9 +37,7 @@ from .monotonicity import (
 )
 from .regression import ModelSpec, RegressionResult, fit
 
-EXAMPLE_SPEC = ModelSpec(
-    regressors=("area", "aspect_ratio"), time_dummies=True, reference_period="A"
-)
+EXAMPLE_SPEC = ModelSpec(reference_period="A", regressors=("area", "aspect_ratio"))
 
 PERTURBED_OBSERVATION = "29"
 PERTURBED_MULTIPLIER = 1.5
@@ -100,10 +98,6 @@ class ReplicationSummary:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def lines(self) -> list[str]:
         lines = [c.line() for c in self.checks]

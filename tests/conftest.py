@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from artindex import (
-    ModelSpec,
-    load_bundled_dataset,
-    with_period_relabeled,
-    with_price_scaled,
-)
+from artindex import load_bundled_dataset, with_period_relabeled, with_price_scaled
+from artindex.replication import EXAMPLE_SPEC  # noqa: F401  (re-exported for the test modules)
 
 # printed cells of the bundled Renoir dataset:
 # (id, period, price_usd, area_cm2, hw_ratio, unit_price_usd_per_cm2)
@@ -43,10 +39,6 @@ TABLE1 = (
     ("27", "B", 11401170.0, 3499.20, 1.200, 3258.22),
     ("28", "B", 29393641.0, 8100.00, 1.235, 3628.84),
     ("29", "B", 146841502.0, 8892.00, 0.684, 16513.89),
-)
-
-EXAMPLE_SPEC = ModelSpec(
-    regressors=("area", "aspect_ratio"), time_dummies=True, reference_period="A"
 )
 
 

@@ -72,6 +72,29 @@ class TestIndexCommand:
         assert code == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("base_value", ["-5", "0", "nan"])
+    def test_bad_base_value_is_data_error_for_both_methods(self, capsys, base_value):
+        for method in ("npgm", "hpm"):
+            code, out, err = run(
+                capsys, "index", "--method", method, "--base-value", base_value,
+                "--format", "json",
+            )
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: base value must be positive and finite, got {float(base_value)!r}\n"
+            )
+
+    def test_one_period_is_data_error_for_both_methods(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text(
+            "id,dataset,price_usd,area_cm2,hw_ratio\n"
+            "1,A,100,10,1\n2,A,200,20,1.2\n3,A,150,12,0.9\n4,A,300,30,1.1\n"
+        )
+        for method in ("npgm", "hpm"):
+            code, out, err = run(capsys, "index", "--method", method, "--data", str(path))
+            assert (code, out) == (3, "")
+            assert err == "error: index computation needs at least two periods, dataset has 1\n"
+
 
 class TestFitCommand:
     def test_table_layout(self, capsys):
@@ -94,6 +117,24 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "--regressors", "area,frame_width")
         assert code == 3
         assert "frame_width" in err and "aspect_ratio" in err
+
+    @pytest.mark.parametrize("name", ["intercept", "dummy_B"])
+    def test_regressor_named_like_a_generated_column(self, capsys, tmp_path, name):
+        path = tmp_path / "clash.csv"
+        path.write_text(
+            f"id,dataset,price_usd,area_cm2,hw_ratio,{name}\n"
+            "1,A,100,10,1,0.5\n2,A,200,20,1.2,0.7\n3,A,150,12,0.9,0.1\n"
+            "4,B,300,30,1.1,0.3\n5,B,320,25,1.0,0.2\n6,B,350,35,1.3,0.9\n"
+        )
+        code, out, err = run(
+            capsys, "fit", "--data", str(path), "--extra-columns", name,
+            "--regressors", f"area,{name}",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: regressor '{name}' has the name of a generated design column; "
+            "rename that characteristic\n"
+        )
 
 
 class TestMonotonicityCommand:

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from artindex import (
     SaleObservation,
     ValidationError,
-    normalize_price,
     partition_by_period,
     restrict_to_periods,
     validate_dataset,
@@ -38,17 +37,23 @@ positive_floats = st.floats(
 )
 
 
+def unit_price(**fields) -> float:
+    """price / area of one record, after it passes validation."""
+    (record,) = validate_dataset([obs(**fields)]).observations
+    return record.price / record.area
+
+
 class TestNormalizePrice:
+    """Normalized (unitary) prices: price / area of validated records."""
+
     def test_printed_example_obs1(self):
-        up = normalize_price(obs(price=105771.0, area=74.90))
-        assert up.value == pytest.approx(1412.16, abs=0.005)
+        assert unit_price(price=105771.0, area=74.90) == pytest.approx(1412.16, abs=0.005)
 
     def test_unit_ratio(self):
-        assert normalize_price(obs(price=100.0, area=100.0)).value == 1.0
+        assert unit_price(price=100.0, area=100.0) == 1.0
 
     def test_printed_example_obs14(self):
-        up = normalize_price(obs(price=2295088.0, area=942.50))
-        assert up.value == pytest.approx(2435.11, abs=0.005)
+        assert unit_price(price=2295088.0, area=942.50) == pytest.approx(2435.11, abs=0.005)
 
     @pytest.mark.parametrize(
         "bad",
@@ -64,17 +69,17 @@ class TestNormalizePrice:
     )
     def test_rejects_corrupt_records(self, bad):
         with pytest.raises(ValidationError):
-            normalize_price(obs(**bad))
+            validate_dataset([obs(**bad)])
 
     @given(price=positive_floats, area=positive_floats)
     def test_product_recovers_price_to_rounding(self, price, area):
-        value = normalize_price(obs(price=price, area=area)).value
+        value = unit_price(price=price, area=area)
         # one rounding in the divide, one in the multiply
         assert abs(value * area - price) <= 2 * math.ulp(price)
 
     def test_bundled_rows_recover_price_within_one_ulp(self):
         for id_, period, price, area, ratio, _ in TABLE1:
-            value = normalize_price(obs(price=price, area=area)).value
+            value = unit_price(price=price, area=area)
             assert abs(value * area - price) <= math.ulp(price)
 
 

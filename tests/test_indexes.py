@@ -143,11 +143,6 @@ class TestHpmIndex:
         got = [hpm_timedummy_index(ds, EXAMPLE_SPEC) for ds in (renoir, renoir_ac)]
         assert got == expected
 
-    def test_requires_time_dummies(self, renoir):
-        spec = ModelSpec(regressors=("area",), time_dummies=False)
-        with pytest.raises(ModelError, match="time dummies"):
-            hpm_timedummy_index(renoir, spec)
-
     def test_constrained_model_equals_npgm_on_bundled(self, renoir, renoir_ac):
         for ds, base in ((renoir, "A"), (renoir_ac, "A")):
             reference = npgm_index(ds, base)

@@ -14,7 +14,6 @@ from artindex import (
     SaleObservation,
     build_design,
     fit,
-    regression_statistics,
     solve_least_squares,
     student_t_two_sided_p,
     validate_dataset,
@@ -103,6 +102,10 @@ class TestBuildDesign:
         with pytest.raises(ModelError, match="distinct"):
             build_design(renoir, spec)
 
+    def test_reference_period_is_required(self):
+        with pytest.raises(TypeError, match="reference_period"):
+            ModelSpec(regressors=("area",))
+
 
 class TestSolve:
     def test_bundled_coefficients_near_reference(self, renoir):
@@ -140,13 +143,33 @@ class TestSolve:
             solve_least_squares(sys)
 
 
+def generated_dataset(seed):
+    """15 sales over periods P0-P2: random prices, areas and extra characteristics z1, z2."""
+    rng = np.random.default_rng(seed)
+    records = [
+        SaleObservation(
+            id=str(i),
+            period=f"P{i // 5}",
+            price=float(np.exp(rng.uniform(2, 12))),
+            area=float(rng.uniform(10, 1000)),
+            aspect_ratio=float(rng.uniform(0.5, 2.0)),
+            extra_characteristics=dict(zip(("z1", "z2"), rng.uniform(-10, 10, 2).tolist())),
+        )
+        for i in range(15)
+    ]
+    return validate_dataset(records)
+
+
 class TestStatistics:
     def test_matches_textbook_formulas(self):
-        sys = random_system(21)
-        coef = solve_least_squares(sys)
-        result = regression_statistics(sys, coef)
+        ds = generated_dataset(21)
+        spec = ModelSpec(reference_period="P0", regressors=("area", "z1", "z2"))
+        result = fit(ds, spec)
+        sys = build_design(ds, spec)
         x, y = sys.design_matrix, sys.response_vector
         n, k = x.shape
+        coef = np.linalg.lstsq(x, y, rcond=None)[0]
+        assert np.allclose(result.coefficients, coef, rtol=1e-9, atol=1e-12)
         resid = y - x @ coef
         s2 = resid @ resid / (n - k)
         cov = s2 * np.linalg.inv(x.T @ x)
@@ -186,12 +209,16 @@ class TestStatistics:
         assert result.r_squared > 0.70
 
     def test_zero_residual_dof(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((3, 3))
-        sys = DesignSystem(x, rng.standard_normal(3), ("a", "b", "c"))
-        coef = solve_least_squares(sys)
+        # intercept, area and dummy_B: as many columns as sales
+        ds = validate_dataset(
+            [
+                SaleObservation("1", "A", 100.0, 10.0, 1.0),
+                SaleObservation("2", "A", 180.0, 20.0, 1.0),
+                SaleObservation("3", "B", 300.0, 15.0, 1.0),
+            ]
+        )
         with pytest.raises(ModelError, match="degrees of freedom"):
-            regression_statistics(sys, coef)
+            fit(ds, ModelSpec(reference_period="A", regressors=("area",)))
 
 
 class TestSolverProperties:
@@ -276,18 +303,3 @@ class TestStudentT:
     def test_numpy_integer_df_accepted(self):
         df = np.int64(25)
         assert student_t_two_sided_p(2.0, df) == student_t_two_sided_p(2.0, 25)
-
-
-class TestAvailableCharacteristics:
-    def test_builtins_plus_shared_extras(self):
-        from artindex import available_characteristics
-
-        records = [
-            SaleObservation("1", "A", 10.0, 1.0, 1.0, {"signed": 1.0, "framed": 0.0}),
-            SaleObservation("2", "B", 20.0, 2.0, 1.0, {"signed": 0.0}),
-        ]
-        ds = validate_dataset(records)
-        # only extras present on every record are usable as regressors
-        assert available_characteristics(ds) == (
-            "area", "aspect_ratio", "log_area", "signed",
-        )
