@@ -33,7 +33,6 @@ from .indexes import (
     npgm_level,
     npgm_method,
     pinned_log_area_spec,
-    price_geometric_mean,
     theta_factor,
 )
 from .monotonicity import (
@@ -53,7 +52,7 @@ from .regression import (
     ModelSpec,
     RegressionResult,
     build_design,
-    characteristic_value,
+    characteristic_column,
     fit,
     solve_least_squares,
     student_t_two_sided_p,
@@ -85,7 +84,7 @@ __all__ = [
     "Violation",
     "build_design",
     "bundled_data_path",
-    "characteristic_value",
+    "characteristic_column",
     "check_monotonicity",
     "decompose_index",
     "fit",
@@ -101,7 +100,6 @@ __all__ = [
     "npgm_method",
     "partition_by_period",
     "pinned_log_area_spec",
-    "price_geometric_mean",
     "random_perturbation_audit",
     "restrict_to_periods",
     "run_replication",

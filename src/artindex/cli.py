@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .indexes import (
     DEFAULT_BASE_VALUE,
     HPM,
     NPGM,
+    _require_base,
     hpm_index_from_result,
     hpm_method,
     npgm_index,
@@ -227,7 +229,6 @@ def _schema_from_args(args) -> InputSchema:
     mapped_hw = args.height_column is not None or args.width_column is not None
     area = args.area_column if args.area_column is not None else (None if mapped_hw else "area_cm2")
     ratio = args.ratio_column if args.ratio_column is not None else (None if mapped_hw else "hw_ratio")
-    extras = tuple(c.strip() for c in args.extra_columns.split(",") if c.strip())
     return InputSchema(
         id_column=args.id_column,
         period_column=args.period_column,
@@ -236,7 +237,7 @@ def _schema_from_args(args) -> InputSchema:
         height_column=args.height_column,
         width_column=args.width_column,
         aspect_ratio_column=ratio,
-        extra_columns=extras,
+        extra_columns=_names(args.extra_columns),
         decimal_separator=args.decimal_separator,
         has_header=not args.no_header,
     )
@@ -248,16 +249,25 @@ def _load_dataset(args) -> tuple[Dataset, str]:
     return load_csv(Path(args.data), schema=_schema_from_args(args)), args.data
 
 
-def _parse_regressors(text: str) -> tuple[str, ...]:
+def _names(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def _model_spec(args, reference: str) -> ModelSpec:
-    return ModelSpec(reference_period=reference, regressors=_parse_regressors(args.regressors))
+    return ModelSpec(reference_period=reference, regressors=_names(args.regressors))
+
+
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early (``| head``): the rest of the
+        # output, and the final flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(report: Report, table_text: str, fmt: str) -> None:
-    print(report.to_json() if fmt == "json" else table_text)
+    _print(report.to_json() if fmt == "json" else table_text)
 
 
 def _cmd_index(args) -> int:
@@ -268,7 +278,7 @@ def _cmd_index(args) -> int:
         "method": args.method,
         "base": base,
         "base_value": args.base_value,
-        "regressors": list(_parse_regressors(args.regressors)),
+        "regressors": list(_names(args.regressors)),
         "format": args.format,
     }
     if args.method == NPGM:
@@ -277,6 +287,8 @@ def _cmd_index(args) -> int:
         table = render_index_table(series)
     else:
         spec = _model_spec(args, base)
+        # the base checks come first, so both methods word a bad base alike
+        _require_base(ds, base, args.base_value)
         result = fit(ds, spec)
         series = hpm_index_from_result(result, ds, spec, args.base_value)
         body = {
@@ -285,7 +297,7 @@ def _cmd_index(args) -> int:
         }
         table = render_index_table(series) + "\n\n" + render_regression_table(result)
     if args.format == "plot":
-        print(render_index_plot_data(series))
+        _print(render_index_plot_data(series))
         return EXIT_OK
     _emit(Report(command="index", config=config, body=body), table, args.format)
     return EXIT_OK
@@ -320,7 +332,7 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
         "method": args.method,
         "base": base,
         "base_value": args.base_value,
-        "regressors": list(_parse_regressors(args.regressors)),
+        "regressors": list(_names(args.regressors)),
         "mode": args.mode,
         "format": args.format,
     }
@@ -332,8 +344,8 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--multiplier must be >= 1")
         config["obs"] = args.obs
         config["multiplier"] = args.multiplier
-        target = ds.by_id(args.obs)
-        pert = Perturbation({args.obs: target.price * (args.multiplier - 1.0)})
+        price = float(ds.price[ds.row(args.obs)])
+        pert = Perturbation({args.obs: price * (args.multiplier - 1.0)})
         comparisons = check_monotonicity(ds, method, pert)
         violations = violations_from(
             f"obs {args.obs} price x{args.multiplier:g}", comparisons, pert
@@ -389,9 +401,9 @@ def _cmd_reproduce(args) -> int:
                 "output_dir": str(args.outdir),
             },
         )
-        print(report.to_json())
+        _print(report.to_json())
     else:
-        print("\n".join(summary.lines()))
+        _print("\n".join(summary.lines()))
     return EXIT_OK if summary.passed else EXIT_DATA
 
 

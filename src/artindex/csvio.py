@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
-from .domain import Dataset, SaleObservation, validate_dataset
+import numpy as np
+
+from .domain import Dataset, _from_columns
 from .errors import ValidationError
 
 BUNDLED_DATA_NAME = "renoir_1989_1990.csv"
@@ -42,23 +46,18 @@ class InputSchema:
         has_area = self.area_column is not None
         has_hw = self.height_column is not None and self.width_column is not None
         if (self.height_column is None) != (self.width_column is None):
-            raise ValidationError(
-                "height and width columns must be mapped together"
-            )
+            raise ValidationError("height and width columns must be mapped together")
         if has_area == has_hw:
             raise ValidationError(
-                "exactly one of an area column or a height/width column pair "
-                "must be mapped"
+                "exactly one of an area column or a height/width column pair must be mapped"
             )
         if not has_hw and self.aspect_ratio_column is None:
             raise ValidationError(
-                "an aspect ratio column is required unless height and width "
-                "columns are mapped"
+                "an aspect ratio column is required unless height and width columns are mapped"
             )
         if len(self.decimal_separator) != 1:
             raise ValidationError(
-                f"decimal separator must be a single character, got "
-                f"{self.decimal_separator!r}"
+                f"decimal separator must be a single character, got {self.decimal_separator!r}"
             )
 
 
@@ -72,61 +71,25 @@ def load_bundled_dataset() -> Dataset:
     return load_csv(bundled_data_path())
 
 
-class _RowReader:
-    """Resolves schema column references against one CSV file."""
-
-    def __init__(self, header: Sequence[str] | None, width: int, schema: InputSchema):
-        self._schema = schema
-        self._positions: dict[str, int] = {}
-        missing = []
-        for ref in self._references():
-            if header is not None:
-                try:
-                    self._positions[ref] = header.index(ref)
-                except ValueError:
-                    missing.append(ref)
-            else:
-                try:
-                    pos = int(ref)
-                except ValueError:
-                    missing.append(ref)
-                    continue
-                if not 0 <= pos < width:
-                    missing.append(ref)
-                else:
-                    self._positions[ref] = pos
-        if missing:
-            raise ValidationError(
-                [f"column {ref!r} not found in input file" for ref in missing]
-            )
-
-    def _references(self) -> list[str]:
-        s = self._schema
-        refs = [s.id_column, s.period_column, s.price_column]
-        for ref in (s.area_column, s.height_column, s.width_column, s.aspect_ratio_column):
-            if ref is not None:
-                refs.append(ref)
-        refs.extend(s.extra_columns)
-        return refs
-
-    def text(self, row: Sequence[str], ref: str, row_number: int) -> str:
-        pos = self._positions[ref]
-        if pos >= len(row):
-            raise ValidationError(f"row {row_number}: missing column {ref!r}")
-        return row[pos].strip()
-
-    def number(
-        self, row: Sequence[str], ref: str, row_number: int, errors: list[str]
-    ) -> float | None:
-        raw = self.text(row, ref, row_number)
-        normalized = raw.replace(self._schema.decimal_separator, ".")
+def _positions(header: Sequence[str] | None, width: int, schema: InputSchema) -> dict[str, int]:
+    """Cell position of every mapped column, in the order a row's cells are read."""
+    s = schema
+    refs = [s.id_column, s.period_column, s.price_column, s.area_column, s.height_column]
+    refs += [s.width_column, s.aspect_ratio_column, *s.extra_columns]
+    positions: dict[str, int] = {}
+    missing = []
+    for ref in (ref for ref in refs if ref is not None):
         try:
-            return float(normalized)
+            pos = header.index(ref) if header is not None else int(ref)
         except ValueError:
-            errors.append(
-                f"row {row_number}, column {ref!r}: could not parse {raw!r} as a number"
-            )
-            return None
+            pos = -1
+        if pos >= 0 and (header is not None or pos < width):
+            positions[ref] = pos
+        else:
+            missing.append(ref)
+    if missing:
+        raise ValidationError([f"column {ref!r} not found in input file" for ref in missing])
+    return positions
 
 
 def load_csv(
@@ -136,9 +99,11 @@ def load_csv(
 ) -> Dataset:
     """Read sale records from a CSV file and validate them into a Dataset.
 
-    Parsing problems are reported with 1-based data row numbers and the
-    offending column; record-level validation then runs through
-    :func:`artindex.domain.validate_dataset`.
+    The file is read column by column: each numeric column is parsed with
+    Python's ``float`` and checked as a whole. Parsing problems are
+    reported with 1-based data row numbers and the offending column, row
+    by row; only a file that parses is then checked record by record, as
+    :func:`artindex.domain.validate_dataset` checks records.
     """
     schema = schema or InputSchema()
     schema.check()
@@ -155,55 +120,71 @@ def load_csv(
             raise ValidationError("empty dataset")
         header = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    # a row is blank when all of its cells are whitespace
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
         raise ValidationError("empty dataset")
 
-    reader = _RowReader(header, max(len(r) for r in rows), schema)
-    errors: list[str] = []
-    records: list[SaleObservation] = []
-    for row_number, row in enumerate(rows, start=1):
-        obs_id = reader.text(row, schema.id_column, row_number)
-        period = reader.text(row, schema.period_column, row_number)
-        price = reader.number(row, schema.price_column, row_number, errors)
-        if schema.area_column is not None:
-            area = reader.number(row, schema.area_column, row_number, errors)
-            height = width = None
-        else:
-            height = reader.number(row, schema.height_column, row_number, errors)
-            width = reader.number(row, schema.width_column, row_number, errors)
-            if width is not None and not width > 0:
-                errors.append(
-                    f"row {row_number}, column {schema.width_column!r}: width must "
-                    f"be positive, got {width!r}"
-                )
-                width = None
-            area = height * width if height is not None and width is not None else None
-        if schema.aspect_ratio_column is not None:
-            ratio = reader.number(row, schema.aspect_ratio_column, row_number, errors)
-        elif height is not None and width is not None:
-            ratio = height / width
-        else:
-            # a parse or width error is already recorded
-            ratio = None
-        extras = {}
-        for ref in schema.extra_columns:
-            value = reader.number(row, ref, row_number, errors)
-            if value is not None:
-                extras[ref] = value
-        if price is None or area is None or ratio is None:
-            continue
-        records.append(
-            SaleObservation(
-                id=obs_id,
-                period=period,
-                price=price,
-                area=area,
-                aspect_ratio=ratio,
-                extra_characteristics=extras,
-            )
-        )
+    positions = _positions(header, max(map(len, rows)), schema)
+    last = max(positions.values())
+    if min(map(len, rows)) <= last:
+        row_number, row = next((i, r) for i, r in enumerate(rows, start=1) if len(r) <= last)
+        ref = next(ref for ref, pos in positions.items() if pos >= len(row))
+        raise ValidationError(f"row {row_number}: missing column {ref!r}")
 
-    if errors:
-        raise ValidationError(errors)
-    return validate_dataset(records, period_order=period_order)
+    def cells(ref: str) -> list[str]:
+        return list(map(itemgetter(positions[ref]), rows))
+
+    # messages per 0-based row, each row's in column order
+    problems: dict[int, list[str]] = {}
+
+    def numbers(ref: str, positive: bool = False) -> np.ndarray:
+        raw = cells(ref)
+        text = raw
+        if schema.decimal_separator != ".":
+            text = [cell.strip().replace(schema.decimal_separator, ".") for cell in raw]
+        failed: set[int] = set()
+        try:
+            # float() ignores surrounding whitespace, as the stripped cell would
+            values = np.fromiter(map(float, text), dtype=np.float64, count=len(text))
+        except ValueError:
+            # again cell by cell, stripped: str.strip() also removes the
+            # separator controls U+001C..U+001F, which float() refuses
+            values = np.full(len(text), np.nan)
+            for i, cell in enumerate(text):
+                try:
+                    values[i] = float(cell.strip())
+                except ValueError:
+                    failed.add(i)
+                    problems.setdefault(i, []).append(
+                        f"row {i + 1}, column {ref!r}: could not parse "
+                        f"{raw[i].strip()!r} as a number"
+                    )
+        for i in np.flatnonzero(~(values > 0)).tolist() if positive else ():
+            if i not in failed:
+                problems.setdefault(i, []).append(
+                    f"row {i + 1}, column {ref!r}: width must be positive, got {float(values[i])!r}"
+                )
+        return values
+
+    price = numbers(schema.price_column)
+    if schema.area_column is not None:
+        area = numbers(schema.area_column)
+    else:
+        height = numbers(schema.height_column)
+        width = numbers(schema.width_column, positive=True)
+        with np.errstate(all="ignore"):
+            area, ratio = height * width, height / width
+    if schema.aspect_ratio_column is not None:
+        ratio = numbers(schema.aspect_ratio_column)
+    extras = {ref: numbers(ref) for ref in schema.extra_columns}
+
+    if problems:
+        raise ValidationError([m for i in sorted(problems) for m in problems[i]])
+    return _from_columns(
+        list(map(str.strip, cells(schema.id_column))),
+        list(map(str.strip, cells(schema.period_column))),
+        {"price": price, "area": area, "aspect_ratio": ratio},
+        extras,
+        period_order,
+    )

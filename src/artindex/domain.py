@@ -1,6 +1,10 @@
-"""Sale-record data model: validation, period partitioning, price perturbations.
+"""Sale-record data model: a columnar dataset, its validation, price perturbations.
 
-Every type here is immutable after construction and every function is
+A :class:`Dataset` holds its sales as columns (ids, period codes, and
+float64 price, area, aspect ratio and extra characteristics), which
+indexes, fits and audits read directly. :class:`SaleObservation` is the
+one-record view, built only on request. Every type here is immutable
+after construction (the arrays are read-only) and every function is
 pure, so all of them are safe to use concurrently without locking.
 """
 
@@ -8,7 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -32,52 +39,151 @@ class SaleObservation:
     extra_characteristics: Mapping[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated, period-partitioned collection of sale observations.
+    """Validated, period-partitioned sale records, stored as columns.
 
-    Construct through :func:`validate_dataset`. ``periods`` lists the
-    distinct period labels in first-appearance order unless an explicit
-    order was supplied, and every listed period has at least one
-    observation.
+    Construct through :func:`validate_dataset` or
+    :func:`artindex.load_csv`. Row ``i`` is one sale: ``ids[i]``, period
+    ``periods[period_codes[i]]``, ``price[i]``, ``area[i]``,
+    ``aspect_ratio[i]`` and ``extras[name][i]`` for every extra
+    characteristic. ``periods`` lists the distinct labels in
+    first-appearance order unless an explicit order was supplied, and
+    every listed period has at least one sale. The arrays are read-only.
+
+    ``observations`` holds the same rows as :class:`SaleObservation`
+    records, built on first access and cached. Two datasets are equal
+    when their observations and periods are.
     """
 
-    observations: tuple[SaleObservation, ...]
+    ids: tuple[str, ...]
     periods: tuple[str, ...]
+    period_codes: np.ndarray
+    price: np.ndarray
+    area: np.ndarray
+    aspect_ratio: np.ndarray
+    extras: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        for column in (self.period_codes, self.price, self.area, self.aspect_ratio):
+            column.setflags(write=False)
+        for column in self.extras.values():
+            column.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.periods == other.periods and self.observations == other.observations
+
+    @cached_property
+    def observations(self) -> tuple[SaleObservation, ...]:
+        return tuple(map(self._record, range(len(self))))
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def _record(self, i: int) -> SaleObservation:
+        numbers = (float(self.price[i]), float(self.area[i]), float(self.aspect_ratio[i]))
+        extras = {name: float(column[i]) for name, column in self.extras.items()}
+        return SaleObservation(self.ids[i], self.periods[self.period_codes[i]], *numbers, extras)
+
+    def row(self, obs_id: str) -> int:
+        """Position of the sale with id ``obs_id``."""
+        try:
+            return self._rows[obs_id]
+        except KeyError:
+            raise ValidationError(f"unknown observation id {obs_id!r}") from None
 
     def by_id(self, obs_id: str) -> SaleObservation:
-        for obs in self.observations:
-            if obs.id == obs_id:
-                return obs
-        raise ValidationError(f"unknown observation id {obs_id!r}")
+        return self._record(self.row(obs_id))
 
 
-def _positive_finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+_BUILTIN_COLUMNS = ("price", "area", "aspect_ratio")
 
 
-def _record_problems(obs: SaleObservation) -> list[str]:
-    problems = []
-    for name, value in (
-        ("price", obs.price),
-        ("area", obs.area),
-        ("aspect_ratio", obs.aspect_ratio),
-    ):
-        if not _positive_finite(value):
-            problems.append(
-                f"observation {obs.id!r}: {name} must be a positive finite "
-                f"number, got {value!r}"
-            )
-    for name, value in obs.extra_characteristics.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            problems.append(
-                f"observation {obs.id!r}: characteristic {name!r} must be a "
-                f"finite number, got {value!r}"
-            )
-    return problems
+def _floats(column: Sequence[object]) -> np.ndarray:
+    if isinstance(column, np.ndarray):
+        return column
+    return np.array([float(v) if isinstance(v, (int, float)) else math.nan for v in column])
+
+
+def _from_columns(
+    ids: Sequence[str],
+    labels: Sequence[str],
+    numbers: Mapping[str, Sequence[object]],
+    extras: Mapping[str, Sequence[object]],
+    period_order: Sequence[str] | None = None,
+) -> Dataset:
+    """Check columns of sale records and assemble a :class:`Dataset`.
+
+    ``numbers`` maps price, area and aspect_ratio to their columns, which
+    must be positive and finite; ``extras`` maps each extra
+    characteristic to its column, which must be finite. A column is a
+    float64 array, or a sequence of raw values, where a value that is not
+    an int or a float is a problem too and messages quote values as
+    given. Ids must be distinct, and a supplied period order must list
+    each observed label once. Every problem is raised in one
+    :class:`ValidationError`, row by row.
+    """
+    ids = tuple(ids)
+    n = len(ids)
+    if not n:
+        raise ValidationError("empty dataset")
+    rows = dict(zip(ids, range(n)))
+    checks = [
+        (f"{name} must be a positive finite number", numbers[name]) for name in _BUILTIN_COLUMNS
+    ]
+    checks += [
+        (f"characteristic {name!r} must be a finite number", column)
+        for name, column in extras.items()
+    ]
+    floats = [_floats(column) for _, column in checks]
+    bad = [~(np.isfinite(f) & (f > 0)) for f in floats[:3]] + [~np.isfinite(f) for f in floats[3:]]
+    flagged = np.logical_or.reduce(bad)
+    duplicates: set[int] = set()
+    if len(rows) < n:
+        seen: set[str] = set()
+        duplicates = {i for i, obs_id in enumerate(ids) if obs_id in seen or seen.add(obs_id)}
+        flagged[list(duplicates)] = True
+
+    errors: list[str] = []
+    for i in np.flatnonzero(flagged).tolist():
+        if i in duplicates:
+            errors.append(f"duplicate id {ids[i]!r}")
+        for (rule, column), mask in zip(checks, bad):
+            if mask[i]:
+                value = float(column[i]) if isinstance(column, np.ndarray) else column[i]
+                errors.append(f"observation {ids[i]!r}: {rule}, got {value!r}")
+
+    observed = tuple(dict.fromkeys(labels))
+    periods = observed if period_order is None else tuple(period_order)
+    if period_order is not None:
+        if len(set(periods)) != len(periods):
+            errors.append("period order contains duplicate labels")
+        errors += [
+            f"period {p!r} missing from supplied period order" for p in observed if p not in periods
+        ]
+        errors += [
+            f"supplied period {p!r} has no observations" for p in periods if p not in observed
+        ]
+    if errors:
+        raise ValidationError(errors)
+    code = {label: q for q, label in enumerate(periods)}
+    ds = Dataset(
+        ids=ids,
+        periods=periods,
+        period_codes=np.fromiter(map(code.__getitem__, labels), dtype=np.intp, count=n),
+        price=floats[0],
+        area=floats[1],
+        aspect_ratio=floats[2],
+        extras=dict(zip(extras, floats[3:])),
+    )
+    object.__setattr__(ds, "_rows", rows)  # the duplicate check built it already
+    return ds
 
 
 def validate_dataset(
@@ -86,69 +192,55 @@ def validate_dataset(
 ) -> Dataset:
     """Check every record and assemble a :class:`Dataset`.
 
-    All problems are collected and raised together as a single
-    :class:`ValidationError`; nothing is dropped silently. Validation is
-    idempotent: feeding a valid dataset's observations back (with the
-    same period order) reproduces an equal dataset.
+    The records become columns and pass the checks of a loaded file:
+    all problems are raised together in one :class:`ValidationError`,
+    and nothing is dropped silently. A record that lacks an extra
+    characteristic another record carries has it as ``None``, which the
+    checks refuse. Validation is idempotent: feeding a valid dataset's
+    observations back (with the same period order) reproduces an equal
+    dataset.
     """
-    observations = tuple(records)
-    errors: list[str] = []
-    if not observations:
-        raise ValidationError("empty dataset")
-
-    seen_ids: set[str] = set()
-    periods_in_order: list[str] = []
-    for obs in observations:
-        if obs.id in seen_ids:
-            errors.append(f"duplicate id {obs.id!r}")
-        seen_ids.add(obs.id)
-        errors.extend(_record_problems(obs))
-        if obs.period not in periods_in_order:
-            periods_in_order.append(obs.period)
-
-    if period_order is not None:
-        supplied = list(period_order)
-        if len(set(supplied)) != len(supplied):
-            errors.append("period order contains duplicate labels")
-        for label in periods_in_order:
-            if label not in supplied:
-                errors.append(f"period {label!r} missing from supplied period order")
-        for label in supplied:
-            if label not in periods_in_order:
-                errors.append(f"supplied period {label!r} has no observations")
-        periods = tuple(supplied)
-    else:
-        periods = tuple(periods_in_order)
-
-    if errors:
-        raise ValidationError(errors)
-    return Dataset(observations=observations, periods=periods)
+    records = tuple(records)
+    names = dict.fromkeys(name for o in records for name in o.extra_characteristics)
+    return _from_columns(
+        [o.id for o in records],
+        [o.period for o in records],
+        {name: [getattr(o, name) for o in records] for name in _BUILTIN_COLUMNS},
+        {name: [o.extra_characteristics.get(name) for o in records] for name in names},
+        period_order,
+    )
 
 
-def partition_by_period(ds: Dataset) -> dict[str, tuple[SaleObservation, ...]]:
-    """Split observations by period; every observation lands in exactly one bin."""
-    parts: dict[str, list[SaleObservation]] = {p: [] for p in ds.periods}
-    for obs in ds.observations:
-        parts[obs.period].append(obs)
-    return {p: tuple(group) for p, group in parts.items()}
+def partition_by_period(ds: Dataset) -> dict[str, np.ndarray]:
+    """Rows of each period, in dataset order; every row lands in exactly one bin."""
+    return {p: np.flatnonzero(ds.period_codes == q) for q, p in enumerate(ds.periods)}
 
 
 def restrict_to_periods(ds: Dataset, periods: Sequence[str]) -> Dataset:
     """Keep only observations whose period is in ``periods`` (order kept)."""
-    wanted = list(periods)
+    wanted = {label: q for q, label in enumerate(periods)}
     for label in wanted:
         if label not in ds.periods:
             raise ValidationError(f"period {label!r} not present in dataset")
-    kept = tuple(o for o in ds.observations if o.period in wanted)
-    return Dataset(observations=kept, periods=tuple(wanted))
+    codes = np.array([wanted.get(p, -1) for p in ds.periods])[ds.period_codes]
+    kept = np.flatnonzero(codes >= 0)
+    return replace(
+        ds,
+        ids=tuple(ds.ids[i] for i in kept.tolist()),
+        periods=tuple(periods),
+        period_codes=codes[kept],
+        price=ds.price[kept],
+        area=ds.area[kept],
+        aspect_ratio=ds.aspect_ratio[kept],
+        extras={name: column[kept] for name, column in ds.extras.items()},
+    )
 
 
 def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
     """Raise unless every increment is a non-negative finite number for a known id."""
     errors = []
-    known = {o.id for o in ds.observations}
     for obs_id, inc in increments.items():
-        if obs_id not in known:
+        if obs_id not in ds._rows:
             errors.append(f"perturbation references unknown observation id {obs_id!r}")
         elif not (isinstance(inc, (int, float)) and math.isfinite(inc) and inc >= 0):
             errors.append(
@@ -166,19 +258,18 @@ def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Datas
     characteristics are never touched.
     """
     check_increments(ds, increments)
-    new_obs = tuple(
-        replace(o, price=o.price + increments[o.id]) if o.id in increments else o
-        for o in ds.observations
-    )
-    return Dataset(observations=new_obs, periods=ds.periods)
+    price = ds.price.copy()
+    rows = [ds.row(obs_id) for obs_id in increments]
+    price[rows] += np.array([float(inc) for inc in increments.values()])
+    return replace(ds, price=price)
 
 
 def with_price_scaled(ds: Dataset, obs_id: str, factor: float) -> Dataset:
     """Return a copy of ``ds`` with one observation's price multiplied."""
-    if not (_positive_finite(factor)):
+    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor > 0):
         raise ValidationError(f"price multiplier must be positive and finite, got {factor!r}")
-    target = ds.by_id(obs_id)
-    return with_price_increments(ds, {obs_id: target.price * (factor - 1.0)})
+    price = float(ds.price[ds.row(obs_id)])
+    return with_price_increments(ds, {obs_id: price * (factor - 1.0)})
 
 
 def with_period_relabeled(ds: Dataset, old: str, new: str) -> Dataset:
@@ -187,8 +278,4 @@ def with_period_relabeled(ds: Dataset, old: str, new: str) -> Dataset:
         raise ValidationError(f"period {old!r} not present in dataset")
     if new in ds.periods and new != old:
         raise ValidationError(f"period {new!r} already present in dataset")
-    new_obs = tuple(
-        replace(o, period=new) if o.period == old else o for o in ds.observations
-    )
-    new_periods = tuple(new if p == old else p for p in ds.periods)
-    return Dataset(observations=new_obs, periods=new_periods)
+    return replace(ds, periods=tuple(new if p == old else p for p in ds.periods))

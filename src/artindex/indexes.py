@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .regression import (
     ModelSpec,
     RegressionResult,
     build_design,
-    characteristic_value,
+    characteristic_column,
     dummy_column_name,
     fit,
     pseudo_inverse,
@@ -101,25 +101,17 @@ class DecompositionReport:
     identity_gap: float
 
 
-def _geometric_mean(values: Iterable[float]) -> float:
+def _geometric_mean(values: np.ndarray) -> float:
     # exp of the mean log, never an n-fold product: prices span many
     # orders of magnitude and the product would overflow
-    logs = np.log(np.asarray(list(values), dtype=np.float64))
-    return float(np.exp(logs.mean()))
-
-
-def price_geometric_mean(observations: Sequence[SaleObservation]) -> float:
-    """Geometric mean of raw sale prices."""
-    if not observations:
+    if not len(values):
         raise ModelError("cannot take the geometric mean of an empty period")
-    return _geometric_mean(o.price for o in observations)
+    return float(np.exp(np.log(values).mean()))
 
 
 def npgm_level(observations: Sequence[SaleObservation]) -> float:
     """Geometric mean of unitary prices for one period's observations."""
-    if not observations:
-        raise ModelError("cannot take the geometric mean of an empty period")
-    return _geometric_mean(o.price / o.area for o in observations)
+    return _geometric_mean(np.array([o.price / o.area for o in observations], dtype=np.float64))
 
 
 def _require_base(ds: Dataset, base_period: str, base_value: float) -> None:
@@ -141,10 +133,10 @@ def npgm_index(
 ) -> IndexSeries:
     """Normalized-price geometric-mean index across all periods of ``ds``."""
     _require_base(ds, base_period, base_value)
-    parts = partition_by_period(ds)
-    base_level = npgm_level(parts[base_period])
+    unit_price = ds.price / ds.area
+    level = {p: _geometric_mean(unit_price[rows]) for p, rows in partition_by_period(ds).items()}
     levels = {
-        p: base_value if p == base_period else base_value * npgm_level(parts[p]) / base_level
+        p: base_value if p == base_period else base_value * level[p] / level[base_period]
         for p in ds.periods
     }
     return IndexSeries(method=NPGM, base_period=base_period, base_value=base_value, levels=levels)
@@ -196,7 +188,7 @@ def _hpm_weights(ds: Dataset, spec: ModelSpec, base_value: float) -> np.ndarray:
     _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
     pinv = pseudo_inverse(sys)
-    w = np.zeros((len(ds.periods), len(ds.observations)))
+    w = np.zeros((len(ds.periods), len(ds)))
     for q, period in enumerate(ds.periods):
         if period != spec.reference_period:
             w[q] = pinv[sys.column_names.index(dummy_column_name(period))]
@@ -205,10 +197,9 @@ def _hpm_weights(ds: Dataset, spec: ModelSpec, base_value: float) -> np.ndarray:
 
 def _npgm_weights(ds: Dataset, base_period: str, base_value: float) -> np.ndarray:
     _require_base(ds, base_period, base_value)
-    position = {p: q for q, p in enumerate(ds.periods)}
-    codes = np.array([position[o.period] for o in ds.observations])
+    codes = ds.period_codes
     counts = np.bincount(codes, minlength=len(ds.periods))
-    base = position[base_period]
+    base = ds.periods.index(base_period)
     w = np.zeros((len(ds.periods), len(codes)))
     w[codes, np.arange(len(codes))] = 1.0 / counts[codes]
     w[:, codes == base] = -1.0 / counts[base]
@@ -261,16 +252,13 @@ def theta_factor(
         if label not in parts:
             raise ModelError(f"period {label!r} not present in dataset")
 
-    def mean_characteristic(name: str, period: str) -> float:
-        values = [characteristic_value(o, name) for o in parts[period]]
-        return float(np.mean(values))
-
     exponent = 0.0
     weighted = [(name, result.coefficient(name)) for name in spec.regressors]
     weighted.extend(spec.pinned)
     for name, beta in weighted:
+        column = characteristic_column(ds, name)
         exponent += beta * (
-            mean_characteristic(name, period0) - mean_characteristic(name, period1)
+            float(np.mean(column[parts[period0]])) - float(np.mean(column[parts[period1]]))
         )
     return math.exp(exponent)
 
@@ -290,8 +278,8 @@ def decompose_index(
     result = fit(sub, two_spec)
 
     parts = partition_by_period(sub)
-    geomean_ratio = price_geometric_mean(parts[period1]) / price_geometric_mean(
-        parts[period0]
+    geomean_ratio = _geometric_mean(sub.price[parts[period1]]) / _geometric_mean(
+        sub.price[parts[period0]]
     )
     theta = theta_factor(result, sub, period0, period1, two_spec)
     exp_delta = math.exp(result.coefficient(dummy_column_name(period1)))

@@ -33,7 +33,7 @@ import numpy as np
 from .domain import Dataset, check_increments, partition_by_period
 from .errors import ModelError, ValidationError
 from .indexes import IndexMethod, IndexSeries
-from .regression import characteristic_value, student_t_two_sided_p
+from .regression import characteristic_column, student_t_two_sided_p
 
 # relative slack distinguishing a genuine level drop from float noise
 RELATIVE_SLACK = 1e-12
@@ -96,7 +96,7 @@ class _Levels:
         self.before: IndexSeries = method(ds)
         self._periods = ds.periods
         self._weights = method.weights(ds)
-        self._prices = np.array([o.price for o in ds.observations])
+        self._prices = ds.price
         self._log_prices = np.log(self._prices)
         self._level_before = np.array([self.before.levels[p] for p in ds.periods])
 
@@ -155,8 +155,11 @@ def check_monotonicity(
         raise ValidationError("perturbation has no increments")
     check_increments(ds, pert.increments)
     levels = _Levels(ds, method)
-    increments = np.array([float(pert.increments.get(o.id, 0.0)) for o in ds.observations])
-    perturbed = {o.period for o in ds.observations if pert.increments.get(o.id, 0) > 0}
+    rows = [ds.row(obs_id) for obs_id in pert.increments]
+    increments = np.zeros(len(ds))
+    increments[rows] = [float(inc) for inc in pert.increments.values()]
+    raised = [row for row, inc in zip(rows, pert.increments.values()) if inc > 0]
+    perturbed = {ds.periods[q] for q in set(ds.period_codes[raised].tolist())}
     return levels.compare(increments, perturbed)
 
 
@@ -178,19 +181,22 @@ def search_violations(
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
     levels = _Levels(ds, method)
-    increments = np.zeros(len(ds.observations))
+    base = ds.periods.index(levels.before.base_period)
+    prices = ds.price.tolist()
+    increments = np.zeros(len(ds))
     violations = []
     trials = 0
-    for i, obs in enumerate(ds.observations):
-        if obs.period == levels.before.base_period:
+    for i, code in enumerate(ds.period_codes.tolist()):
+        if code == base:
             continue
+        obs_id = ds.ids[i]
         for m in grid:
             trials += 1
-            inc = obs.price * (m - 1.0)
+            inc = prices[i] * (m - 1.0)
             increments[i] = inc
-            comparisons = levels.compare(increments, {obs.period})
-            pert = Perturbation({obs.id: inc})
-            violations.extend(violations_from(f"obs {obs.id} price x{m:g}", comparisons, pert))
+            comparisons = levels.compare(increments, {ds.periods[code]})
+            pert = Perturbation({obs_id: inc})
+            violations.extend(violations_from(f"obs {obs_id} price x{m:g}", comparisons, pert))
         increments[i] = 0.0
     return MonotonicityReport(
         method=levels.before.method, trials=trials, violations=tuple(violations)
@@ -213,13 +219,12 @@ def random_perturbation_audit(
         raise ModelError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     levels = _Levels(ds, method)
-    base = levels.before.base_period
-    targets = [i for i, o in enumerate(ds.observations) if o.period != base]
-    target_ids = [ds.observations[i].id for i in targets]
-    target_periods = np.array([ds.observations[i].period for i in targets])
-    prices = np.array([ds.observations[i].price for i in targets])
+    targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
+    target_ids = [ds.ids[i] for i in targets.tolist()]
+    target_codes = ds.period_codes[targets]
+    prices = ds.price[targets]
 
-    increments = np.zeros(len(ds.observations))
+    increments = np.zeros(len(ds))
     violations = []
     for start in range(0, trials, _DRAW_BLOCK):
         # one draw per block yields the same stream as a coins draw and a
@@ -227,7 +232,7 @@ def random_perturbation_audit(
         draws = rng.random((min(_DRAW_BLOCK, trials - start), 2, len(targets)))
         block = np.where(draws[:, 0] < 0.5, 0.0, draws[:, 1] * prices)
         for offset, trial_increments in enumerate(block):
-            perturbed = set(target_periods[trial_increments > 0].tolist())
+            perturbed = {ds.periods[q] for q in set(target_codes[trial_increments > 0].tolist())}
             if not perturbed:
                 continue
             increments[targets] = trial_increments
@@ -254,11 +259,9 @@ def melser_diagnostic(
     for label in (period0, period1):
         if label not in parts:
             raise ModelError(f"period {label!r} not present in dataset")
-    values = np.array(
-        [characteristic_value(o, characteristic) for o in parts[period0]]
-        + [characteristic_value(o, characteristic) for o in parts[period1]]
-    )
-    membership = np.array([0.0] * len(parts[period0]) + [1.0] * len(parts[period1]))
+    column = characteristic_column(ds, characteristic)
+    values = np.concatenate([column[parts[period0]], column[parts[period1]]])
+    membership = np.repeat([0.0, 1.0], [len(parts[period0]), len(parts[period1])])
 
     x_centered = values - values.mean()
     d_centered = membership - membership.mean()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .domain import Dataset, SaleObservation
+from .domain import Dataset
 from .errors import ModelError, RankDeficientError
 
 # columns whose smallest |R| diagonal falls below RANK_RTOL times the
@@ -34,31 +34,30 @@ RANK_RTOL = 1e-10
 _BUILTIN_CHARACTERISTICS = ("area", "aspect_ratio", "log_area")
 
 
-def characteristic_value(obs: SaleObservation, name: str) -> float:
-    """Evaluate a named characteristic on one observation.
+def _log(values: np.ndarray) -> np.ndarray:
+    # the C library's log, value by value: numpy's vectorized log can
+    # differ from it in the last bit, which would move every fitted figure
+    return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=len(values))
 
-    Known names are the built-ins (area, aspect_ratio, log_area) plus any
-    key of the observation's extra characteristics.
+
+def characteristic_column(ds: Dataset, name: str) -> np.ndarray:
+    """A named characteristic of every sale, in dataset order.
+
+    Known names are the built-ins (area, aspect_ratio, log_area) plus the
+    dataset's extra characteristics.
     """
     if name == "area":
-        return obs.area
+        return ds.area
     if name == "aspect_ratio":
-        return obs.aspect_ratio
+        return ds.aspect_ratio
     if name == "log_area":
-        if not (obs.area > 0):
-            raise ModelError(f"observation {obs.id!r}: log of non-positive area")
-        return math.log(obs.area)
+        return _log(ds.area)
     try:
-        return obs.extra_characteristics[name]
+        return ds.extras[name]
     except KeyError:
         raise ModelError(
             f"unknown characteristic {name!r}; available: "
-            + ", ".join(_BUILTIN_CHARACTERISTICS)
-            + (
-                ", " + ", ".join(sorted(obs.extra_characteristics))
-                if obs.extra_characteristics
-                else ""
-            )
+            + ", ".join((*_BUILTIN_CHARACTERISTICS, *sorted(ds.extras)))
         ) from None
 
 
@@ -144,8 +143,8 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
             f"reference period {spec.reference_period!r} not in dataset "
             f"periods {list(ds.periods)}"
         )
-    dummy_periods = tuple(p for p in ds.periods if p != spec.reference_period)
-    dummies = [dummy_column_name(p) for p in dummy_periods]
+    dummy_codes = [q for q, p in enumerate(ds.periods) if p != spec.reference_period]
+    dummies = [dummy_column_name(ds.periods[q]) for q in dummy_codes]
     for name in spec.regressors:
         if name == "intercept" or name in dummies:
             raise ModelError(
@@ -154,24 +153,16 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
             )
     column_names = ["intercept", *spec.regressors, *dummies]
 
-    n = len(ds.observations)
-    x = np.zeros((n, len(column_names)))
-    x[:, 0] = 1.0
-    y = np.empty(n)
-    dummy_index = {p: column_names.index(dummy_column_name(p)) for p in dummy_periods}
-
-    for i, obs in enumerate(ds.observations):
-        if not (obs.price > 0):
-            raise ModelError(f"observation {obs.id!r}: log of non-positive price")
-        response = math.log(obs.price)
-        for name, coef in spec.pinned:
-            response -= coef * characteristic_value(obs, name)
-        y[i] = response
-        for col, name in enumerate(spec.regressors, start=1):
-            x[i, col] = characteristic_value(obs, name)
-        if obs.period in dummy_index:
-            x[i, dummy_index[obs.period]] = 1.0
-
+    y = _log(ds.price)
+    for name, coef in spec.pinned:
+        y = y - coef * characteristic_column(ds, name)
+    x = np.column_stack(
+        [
+            np.ones(len(ds)),
+            *(characteristic_column(ds, name) for name in spec.regressors),
+            ds.period_codes[:, None] == np.array(dummy_codes, dtype=np.intp),
+        ]
+    )
     x.setflags(write=False)
     y.setflags(write=False)
     return DesignSystem(design_matrix=x, response_vector=y, column_names=tuple(column_names))

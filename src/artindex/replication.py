@@ -118,52 +118,30 @@ def _check_fit(
     reference: dict,
     dummy_column: str,
 ) -> list[CheckResult]:
-    columns = {
-        "intercept": "intercept",
-        "area": "area",
-        "aspect_ratio": "aspect_ratio",
-        "dummy": dummy_column,
-    }
-    checks = []
-    specs = [
-        ("coefficients", 0, lambda term, got, ref: (
-            abs(got - ref),
-            AREA_COEFFICIENT_ABS_TOL if term == "area" else COEFFICIENT_ABS_TOL,
-        )),
-        ("standard_errors", 1, lambda term, got, ref: (abs(got - ref) / ref, STD_ERROR_REL_TOL)),
-        ("t_statistics", 2, lambda term, got, ref: (abs(got - ref), T_STAT_ABS_TOL)),
-        ("p_values", 3, lambda term, got, ref: (abs(got - ref), P_VALUE_ABS_TOL)),
-    ]
-    for stat_name, idx, measure in specs:
-        bad = []
-        for term, values in reference.items():
-            j = result.column_names.index(columns[term])
-            got = {
-                0: result.coefficients,
-                1: result.standard_errors,
-                2: result.t_statistics,
-                3: result.p_values,
-            }[idx][j]
-            gap, tol = measure(term, float(got), values[idx])
-            if gap > tol:
-                bad.append(
-                    f"{term} {got:.6g} vs reference {values[idx]:.6g} "
-                    f"(gap {gap:.3g} > {tol:.3g})"
-                )
-        checks.append(
-            CheckResult(
-                name=f"{label}_{stat_name}",
-                passed=not bad,
-                detail="all terms within tolerance" if not bad else "; ".join(bad),
-            )
-        )
-    checks.append(
-        CheckResult(
-            name=f"{label}_r_squared",
-            passed=result.r_squared > R_SQUARED_MIN,
-            detail=f"R^2 = {result.r_squared:.4f} (required > {R_SQUARED_MIN})",
-        )
+    # reference tuples hold coefficient, std error, t stat and p-value;
+    # every gap is absolute except the standard errors' relative one
+    stats = (
+        ("coefficients", result.coefficients, None),
+        ("standard_errors", result.standard_errors, STD_ERROR_REL_TOL),
+        ("t_statistics", result.t_statistics, T_STAT_ABS_TOL),
+        ("p_values", result.p_values, P_VALUE_ABS_TOL),
     )
+    checks = []
+    for idx, (stat_name, values, tol) in enumerate(stats):
+        bad = []
+        for term, refs in reference.items():
+            j = result.column_names.index(dummy_column if term == "dummy" else term)
+            got, ref = float(values[j]), refs[idx]
+            gap = abs(got - ref) / ref if stat_name == "standard_errors" else abs(got - ref)
+            term_tol = tol or (AREA_COEFFICIENT_ABS_TOL if term == "area" else COEFFICIENT_ABS_TOL)
+            if gap > term_tol:
+                bad.append(
+                    f"{term} {got:.6g} vs reference {ref:.6g} (gap {gap:.3g} > {term_tol:.3g})"
+                )
+        detail = "; ".join(bad) or "all terms within tolerance"
+        checks.append(CheckResult(f"{label}_{stat_name}", not bad, detail))
+    detail = f"R^2 = {result.r_squared:.4f} (required > {R_SQUARED_MIN})"
+    checks.append(CheckResult(f"{label}_r_squared", result.r_squared > R_SQUARED_MIN, detail))
     return checks
 
 
@@ -180,22 +158,20 @@ def _replicate(
     ds_ac = perturbed_dataset(ds_ab)
     checks: list[CheckResult] = []
 
+    def check(name: str, passed: bool, detail: str) -> None:
+        checks.append(CheckResult(name, passed, detail))
+
     # unitary prices against the printed column
     worst_gap = 0.0
     worst_id = ""
-    for obs in ds_ab.observations:
-        gap = abs(obs.price / obs.area - REFERENCE_UNIT_PRICES[obs.id])
+    for obs_id, unit_price in zip(ds_ab.ids, (ds_ab.price / ds_ab.area).tolist()):
+        gap = abs(unit_price - REFERENCE_UNIT_PRICES[obs_id])
         if gap > worst_gap:
-            worst_gap, worst_id = gap, obs.id
-    checks.append(
-        CheckResult(
-            name="unit_prices",
-            passed=worst_gap <= UNIT_PRICE_ABS_TOL,
-            detail=(
-                f"worst gap {worst_gap:.6f} at obs {worst_id} "
-                f"(tolerance {UNIT_PRICE_ABS_TOL})"
-            ),
-        )
+            worst_gap, worst_id = gap, obs_id
+    check(
+        "unit_prices",
+        worst_gap <= UNIT_PRICE_ABS_TOL,
+        f"worst gap {worst_gap:.6f} at obs {worst_id} (tolerance {UNIT_PRICE_ABS_TOL})",
     )
 
     # the two hedonic fits
@@ -211,46 +187,33 @@ def _replicate(
     hpm_ac = hpm_index_from_result(result_ac, ds_ac, EXAMPLE_SPEC)
     i_ba_npgm, i_ca_npgm = npgm_ab.level("B"), npgm_ac.level("C")
     i_ba_hpm, i_ca_hpm = hpm_ab.level("B"), hpm_ac.level("C")
-    checks.append(
-        CheckResult(
-            name="npgm_ordering",
-            passed=i_ca_npgm > i_ba_npgm,
-            detail=f"I_CA {i_ca_npgm:.4f} vs I_BA {i_ba_npgm:.4f} (must rise)",
-        )
+    check(
+        "npgm_ordering",
+        i_ca_npgm > i_ba_npgm,
+        f"I_CA {i_ca_npgm:.4f} vs I_BA {i_ba_npgm:.4f} (must rise)",
     )
-    checks.append(
-        CheckResult(
-            name="hpm_ordering",
-            passed=i_ca_hpm < i_ba_hpm,
-            detail=f"I_CA {i_ca_hpm:.4f} vs I_BA {i_ba_hpm:.4f} (drops despite the price rise)",
-        )
+    check(
+        "hpm_ordering",
+        i_ca_hpm < i_ba_hpm,
+        f"I_CA {i_ca_hpm:.4f} vs I_BA {i_ba_hpm:.4f} (drops despite the price rise)",
     )
     ref_ba = 100.0 * math.exp(REFERENCE_FIT_AB["dummy"][0])
     ref_ca = 100.0 * math.exp(REFERENCE_FIT_AC["dummy"][0])
     gaps = (abs(i_ba_hpm - ref_ba), abs(i_ca_hpm - ref_ca))
-    checks.append(
-        CheckResult(
-            name="hpm_levels",
-            passed=max(gaps) <= HPM_LEVEL_ABS_TOL,
-            detail=(
-                f"I_BA {i_ba_hpm:.4f} vs {ref_ba:.4f}, I_CA {i_ca_hpm:.4f} vs "
-                f"{ref_ca:.4f} (tolerance {HPM_LEVEL_ABS_TOL})"
-            ),
-        )
+    check(
+        "hpm_levels",
+        max(gaps) <= HPM_LEVEL_ABS_TOL,
+        f"I_BA {i_ba_hpm:.4f} vs {ref_ba:.4f}, I_CA {i_ca_hpm:.4f} vs "
+        f"{ref_ca:.4f} (tolerance {HPM_LEVEL_ABS_TOL})",
     )
 
     # decomposition identity on both fits
     gap_ab = decompose_index(ds_ab, EXAMPLE_SPEC, "A", "B").identity_gap
     gap_ac = decompose_index(ds_ac, EXAMPLE_SPEC, "A", "C").identity_gap
-    checks.append(
-        CheckResult(
-            name="decomposition_identity",
-            passed=max(gap_ab, gap_ac) <= IDENTITY_REL_TOL,
-            detail=(
-                f"relative gaps {gap_ab:.3g} (A/B) and {gap_ac:.3g} (A/C), "
-                f"tolerance {IDENTITY_REL_TOL}"
-            ),
-        )
+    check(
+        "decomposition_identity",
+        max(gap_ab, gap_ac) <= IDENTITY_REL_TOL,
+        f"relative gaps {gap_ab:.3g} (A/B) and {gap_ac:.3g} (A/C), tolerance {IDENTITY_REL_TOL}",
     )
 
     # pinned log-area model reproduces the npgm index
@@ -259,73 +222,51 @@ def _replicate(
         constrained = hpm_timedummy_index(ds, pinned_log_area_spec("A"))
         for period, level in npgm_series.levels.items():
             worst_eq = max(worst_eq, abs(constrained.level(period) - level) / level)
-    checks.append(
-        CheckResult(
-            name="constrained_equivalence",
-            passed=worst_eq <= EQUIVALENCE_REL_TOL,
-            detail=f"worst relative gap {worst_eq:.3g} (tolerance {EQUIVALENCE_REL_TOL})",
-        )
+    check(
+        "constrained_equivalence",
+        worst_eq <= EQUIVALENCE_REL_TOL,
+        f"worst relative gap {worst_eq:.3g} (tolerance {EQUIVALENCE_REL_TOL})",
     )
 
     # monotonicity: npgm must be clean under both audits
     npgm_fn = npgm_method("A")
-    npgm_sweep = search_violations(ds_ab, npgm_fn, DEFAULT_MULTIPLIER_GRID)
-    checks.append(
-        CheckResult(
-            name="npgm_grid_compliant",
-            passed=npgm_sweep.compliant,
-            detail=(
-                f"{len(npgm_sweep.violations)} violations in "
-                f"{npgm_sweep.trials} sweep trials"
-            ),
-        )
+    sweep = search_violations(ds_ab, npgm_fn, DEFAULT_MULTIPLIER_GRID)
+    check(
+        "npgm_grid_compliant",
+        sweep.compliant,
+        f"{len(sweep.violations)} violations in {sweep.trials} sweep trials",
     )
-    npgm_audit = random_perturbation_audit(
-        ds_ab, npgm_fn, RANDOM_AUDIT_TRIALS, RANDOM_AUDIT_SEED
-    )
-    checks.append(
-        CheckResult(
-            name="npgm_random_audit_compliant",
-            passed=npgm_audit.compliant,
-            detail=(
-                f"{len(npgm_audit.violations)} violations in "
-                f"{npgm_audit.trials} random trials (seed {RANDOM_AUDIT_SEED})"
-            ),
-        )
+    audit = random_perturbation_audit(ds_ab, npgm_fn, RANDOM_AUDIT_TRIALS, RANDOM_AUDIT_SEED)
+    check(
+        "npgm_random_audit_compliant",
+        audit.compliant,
+        f"{len(audit.violations)} violations in {audit.trials} random trials "
+        f"(seed {RANDOM_AUDIT_SEED})",
     )
 
     # monotonicity: the time-dummy index must violate at the known spots
     hpm_sweep = search_violations(ds_ab, hpm_method(EXAMPLE_SPEC), DEFAULT_MULTIPLIER_GRID)
     descriptions = {v.description for v in hpm_sweep.violations}
     violating_ids = {next(iter(v.perturbation.increments)) for v in hpm_sweep.violations}
-    obs29_hit = f"obs {PERTURBED_OBSERVATION} price x{PERTURBED_MULTIPLIER:g}" in descriptions
-    checks.append(
-        CheckResult(
-            name="hpm_obs29_violation",
-            passed=obs29_hit,
-            detail=(
-                f"obs {PERTURBED_OBSERVATION} at x{PERTURBED_MULTIPLIER:g} "
-                + ("violates" if obs29_hit else "does not violate")
-            ),
-        )
+    hit = f"obs {PERTURBED_OBSERVATION} price x{PERTURBED_MULTIPLIER:g}" in descriptions
+    check(
+        "hpm_obs29_violation",
+        hit,
+        f"obs {PERTURBED_OBSERVATION} at x{PERTURBED_MULTIPLIER:g} "
+        + ("violates" if hit else "does not violate"),
     )
-    both = {"25", "28"} <= violating_ids
-    checks.append(
-        CheckResult(
-            name="hpm_obs25_obs28_violations",
-            passed=both,
-            detail=f"violating observations found: {sorted(violating_ids, key=int)}",
-        )
+    check(
+        "hpm_obs25_obs28_violations",
+        {"25", "28"} <= violating_ids,
+        f"violating observations found: {sorted(violating_ids, key=int)}",
     )
 
     # area/period association (the precondition for time-dummy violations)
     r, t, p = melser_significance(ds_ab, "area", "A", "B")
-    checks.append(
-        CheckResult(
-            name="area_period_association",
-            passed=(r > 0) and (p < MELSER_P_MAX),
-            detail=f"correlation {r:.4f}, t {t:.4f}, p {p:.6f} (required r > 0, p < {MELSER_P_MAX})",
-        )
+    check(
+        "area_period_association",
+        (r > 0) and (p < MELSER_P_MAX),
+        f"correlation {r:.4f}, t {t:.4f}, p {p:.6f} (required r > 0, p < {MELSER_P_MAX})",
     )
 
     fits = {"hpm_fit_ab.csv": result_ab, "hpm_fit_ac.csv": result_ac}
@@ -349,11 +290,11 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
     ds_ab = dataset if dataset is not None else load_bundled_dataset()
     summary, fits, levels_by_file = _replicate(ds_ab)
 
+    periods = [ds_ab.periods[q] for q in ds_ab.period_codes.tolist()]
+    areas = ds_ab.area.tolist()
     lines = ["id,dataset,price_usd,area_cm2,unit_price_usd_per_cm2"]
-    for obs in ds_ab.observations:
-        lines.append(
-            f"{obs.id},{obs.period},{obs.price:g},{obs.area:g},{obs.price / obs.area!r}"
-        )
+    for obs_id, period, price, area in zip(ds_ab.ids, periods, ds_ab.price.tolist(), areas):
+        lines.append(f"{obs_id},{period},{price:g},{area:g},{price / area!r}")
     (outdir / "unit_prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     for name, result in fits.items():
@@ -372,9 +313,7 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
         lines = ["period,level"] + [f"{p},{v!r}" for p, v in levels.items()]
         (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    lines = ["dataset,area_cm2"]
-    for obs in ds_ab.observations:
-        lines.append(f"{obs.period},{obs.area:g}")
+    lines = ["dataset,area_cm2"] + [f"{period},{area:g}" for period, area in zip(periods, areas)]
     (outdir / "area_by_dataset.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     (outdir / "summary.txt").write_text("\n".join(summary.lines()) + "\n", encoding="utf-8")

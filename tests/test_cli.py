@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artindex
 from artindex.cli import main
 from artindex.replication import run_replication, write_replication_outputs
 from artindex.report import Report
-from artindex import fit, with_price_scaled
+from artindex import SaleObservation, fit, with_price_scaled
 
 from conftest import EXAMPLE_SPEC
 
@@ -94,6 +100,12 @@ class TestIndexCommand:
             code, out, err = run(capsys, "index", "--method", method, "--data", str(path))
             assert (code, out) == (3, "")
             assert err == "error: index computation needs at least two periods, dataset has 1\n"
+
+    def test_unknown_base_is_worded_alike_for_both_methods(self, capsys):
+        for method in ("npgm", "hpm"):
+            code, out, err = run(capsys, "index", "--method", method, "--base", "Z")
+            assert (code, out) == (3, "")
+            assert err == "error: base period 'Z' not in dataset periods ['A', 'B']\n"
 
 
 class TestFitCommand:
@@ -260,6 +272,75 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", "/nonexistent.json", "index")
         assert code == 2
         assert "config" in err
+
+
+def _generated_csv(path: Path) -> Path:
+    """A file from the benchmark's seeded generator: 120 sales, 4 periods, area rising."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write_csv(path, seed=1, n_sales=120, n_periods=4, area_trend=1.0)
+
+
+class TestColumnarPath:
+    """The commands read the dataset's columns and never build a SaleObservation."""
+
+    def test_commands_build_no_records(self, capsys, tmp_path, monkeypatch):
+        generated = str(_generated_csv(tmp_path / "gen.csv"))
+        inputs = [
+            ("29", []),
+            ("100", ["--data", generated, "--extra-columns", "age_years",
+                     "--regressors", "area,aspect_ratio,age_years"]),
+        ]
+
+        def forbid(self, *args, **kwargs):
+            raise AssertionError("a SaleObservation was built")
+
+        monkeypatch.setattr(SaleObservation, "__init__", forbid)
+        with pytest.raises(AssertionError, match="SaleObservation"):
+            artindex.load_bundled_dataset().by_id("1")
+        for obs, data in inputs:
+            commands = [("fit", "--format", "json")]
+            for method in ("npgm", "hpm"):
+                commands += [
+                    ("index", "--method", method, "--format", "json"),
+                    ("monotonicity", "--method", method, "--obs", obs),
+                    ("monotonicity", "--method", method, "--mode", "grid"),
+                    ("monotonicity", "--method", method, "--mode", "random",
+                     "--trials", "50", "--seed", "1"),
+                ]
+            for argv in commands:
+                code, out, err = run(capsys, *argv, *data)
+                assert code in (0, 4) and out and err == "", (argv, data, err)
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``artindex ... | head -1``) is not an error."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("fit", "--format", "json"), 0),
+            (("index", "--format", "plot"), 0),
+            (("monotonicity", "--method", "hpm", "--mode", "grid", "--format", "json"), 4),
+        ],
+    )
+    def test_exits_quietly(self, argv, code):
+        src = str(Path(artindex.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "artindex.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # close the only read end before the command writes anything
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (code, b"")
 
 
 class TestReproduceCommand:

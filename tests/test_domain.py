@@ -152,8 +152,9 @@ class TestPartition:
 
     def test_every_observation_in_exactly_one_bin(self, renoir):
         parts = partition_by_period(renoir)
-        ids = [o.id for group in parts.values() for o in group]
-        assert sorted(ids, key=int) == sorted((o.id for o in renoir.observations), key=int)
+        rows = [i for group in parts.values() for i in group.tolist()]
+        assert sorted(rows) == list(range(len(renoir)))
+        assert all((renoir.period_codes[group] == q).all() for q, group in enumerate(parts.values()))
 
     def test_dataset_c_partition(self, renoir_ac):
         parts = partition_by_period(renoir_ac)
@@ -189,6 +190,13 @@ class TestTransforms:
     def test_negative_increment_rejected(self, renoir):
         with pytest.raises(ValidationError, match="non-negative"):
             with_price_increments(renoir, {"1": -0.5})
+
+    def test_by_id_reads_the_row_of_that_id(self, renoir):
+        for i, record in enumerate(renoir.observations):
+            assert renoir.row(record.id) == i
+            assert renoir.by_id(record.id) == record
+        with pytest.raises(ValidationError, match="unknown observation id 'nope'"):
+            renoir.by_id("nope")
 
     def test_relabel(self, renoir):
         relabeled = with_period_relabeled(renoir, "B", "C")
