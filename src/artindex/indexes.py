@@ -39,8 +39,8 @@ from .regression import (
     characteristic_column,
     dummy_column_name,
     fit,
-    pseudo_inverse,
     solve_least_squares,
+    solve_with_pseudo_inverse,
 )
 
 NPGM = "npgm"
@@ -69,20 +69,23 @@ class IndexSeries:
 class IndexMethod:
     """An index method with its price weights.
 
-    Calling ``method(ds)`` computes the :class:`IndexSeries`.
-    ``method.weights(ds)`` returns W = d log I / d log p as a
-    (periods x observations) array: rows in ``ds.periods`` order, one
+    ``method.evaluate(ds)`` computes the :class:`IndexSeries` and
+    W = d log I / d log p together (for hpm from one factorization);
+    ``method(ds)`` and ``method.weights(ds)`` return one of the two. W is
+    a (periods x observations) array: rows in ``ds.periods`` order, one
     column per observation in dataset order (base-period sales included),
     and an all-zero base row. W does not depend on prices, so raising
     prices by increments moves each level exactly to
     ``level[q] * exp(W[q] @ (log(p + increments) - log p))``.
     """
 
-    series: Callable[[Dataset], IndexSeries]
-    weights: Callable[[Dataset], np.ndarray]
+    evaluate: Callable[[Dataset], tuple[IndexSeries, np.ndarray]]
 
     def __call__(self, ds: Dataset) -> IndexSeries:
-        return self.series(ds)
+        return self.evaluate(ds)[0]
+
+    def weights(self, ds: Dataset) -> np.ndarray:
+        return self.evaluate(ds)[1]
 
 
 @dataclass(frozen=True)
@@ -184,19 +187,27 @@ def hpm_timedummy_index(
     )
 
 
-def _hpm_weights(ds: Dataset, spec: ModelSpec, base_value: float) -> np.ndarray:
+def _hpm_evaluate(
+    ds: Dataset, spec: ModelSpec, base_value: float
+) -> tuple[IndexSeries, np.ndarray]:
     _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
-    pinv = pseudo_inverse(sys)
+    coef, pinv = solve_with_pseudo_inverse(sys)
+    column = sys.column_names.index
+    series = _hpm_series(
+        lambda name: float(coef[column(name)]), ds, spec.reference_period, base_value
+    )
     w = np.zeros((len(ds.periods), len(ds)))
     for q, period in enumerate(ds.periods):
         if period != spec.reference_period:
-            w[q] = pinv[sys.column_names.index(dummy_column_name(period))]
-    return w
+            w[q] = pinv[column(dummy_column_name(period))]
+    return series, w
 
 
-def _npgm_weights(ds: Dataset, base_period: str, base_value: float) -> np.ndarray:
-    _require_base(ds, base_period, base_value)
+def _npgm_evaluate(
+    ds: Dataset, base_period: str, base_value: float
+) -> tuple[IndexSeries, np.ndarray]:
+    series = npgm_index(ds, base_period, base_value)
     codes = ds.period_codes
     counts = np.bincount(codes, minlength=len(ds.periods))
     base = ds.periods.index(base_period)
@@ -204,7 +215,7 @@ def _npgm_weights(ds: Dataset, base_period: str, base_value: float) -> np.ndarra
     w[codes, np.arange(len(codes))] = 1.0 / counts[codes]
     w[:, codes == base] = -1.0 / counts[base]
     w[base] = 0.0
-    return w
+    return series, w
 
 
 def pinned_log_area_spec(reference_period: str) -> ModelSpec:
@@ -219,18 +230,12 @@ def pinned_log_area_spec(reference_period: str) -> ModelSpec:
 
 def npgm_method(base_period: str, base_value: float = DEFAULT_BASE_VALUE) -> IndexMethod:
     """The npgm index anchored at ``base_period``, for the monotonicity auditors."""
-    return IndexMethod(
-        series=lambda ds: npgm_index(ds, base_period, base_value),
-        weights=lambda ds: _npgm_weights(ds, base_period, base_value),
-    )
+    return IndexMethod(lambda ds: _npgm_evaluate(ds, base_period, base_value))
 
 
 def hpm_method(spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE) -> IndexMethod:
     """The time-dummy index of ``spec``, for the monotonicity auditors."""
-    return IndexMethod(
-        series=lambda ds: hpm_timedummy_index(ds, spec, base_value),
-        weights=lambda ds: _hpm_weights(ds, spec, base_value),
-    )
+    return IndexMethod(lambda ds: _hpm_evaluate(ds, spec, base_value))
 
 
 def theta_factor(

@@ -13,9 +13,11 @@ not lower the index. The auditors test it constructively against an
 
 Both indexes are log-linear in prices with characteristics held fixed,
 and their weights W = d log I / d log p do not depend on prices. Each
-audit therefore computes the index and W once, and every perturbed level
-exactly as ``level_before[q] * exp(W[q] @ (log(p + inc) - log p))``,
-with no refit.
+audit therefore computes the index and W once (one QR for hpm), and a
+perturbed level exactly as ``level_before[q] * exp(W[q] @ x)`` with
+x = log(p + inc) - log p, with no refit. The grid and random audits
+screen their perturbations in bulk and judge exactly only those flagged:
+one whose every raised period has W[q] @ x clearly above zero lowers no level.
 
 Perturbations target observations outside the base period: levels are
 anchored ratios to the base, so only non-base perturbations make the
@@ -32,7 +34,7 @@ import numpy as np
 
 from .domain import Dataset, check_increments, partition_by_period
 from .errors import ModelError, ValidationError
-from .indexes import IndexMethod, IndexSeries
+from .indexes import IndexMethod
 from .regression import characteristic_column, student_t_two_sided_p
 
 # relative slack distinguishing a genuine level drop from float noise
@@ -93,12 +95,38 @@ class _Levels:
     """Index levels of one dataset, before and after price increments."""
 
     def __init__(self, ds: Dataset, method: IndexMethod):
-        self.before: IndexSeries = method(ds)
+        self.before, self._weights = method.evaluate(ds)
         self._periods = ds.periods
-        self._weights = method.weights(ds)
         self._prices = ds.price
         self._log_prices = np.log(self._prices)
         self._level_before = np.array([self.before.levels[p] for p in ds.periods])
+        self._rounding = 4 * len(ds) * np.finfo(np.float64).eps
+
+    def flagged(
+        self, rows: np.ndarray, increments: np.ndarray, weights: np.ndarray, perturbed: np.ndarray | bool
+    ) -> np.ndarray:
+        """Flat positions, in batch order, of the perturbations :meth:`compare` must judge.
+
+        Each perturbation of the batch raises each sale ``rows[j]`` by
+        ``increments[..., j]`` and leaves the other sales unraised;
+        ``perturbed[..., c]`` says whether it raised a sale of the period q
+        whose weight W[q, rows[j]] is ``weights[..., j, c]``.
+        """
+        # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare
+        # sums s over all n sales in one matvec (unraised sales add exactly 0:
+        # both logs read one value); this batch sums in another order, and its
+        # logs may differ from compare's by an ulp, eps * (|a| + |b|) a sale.
+        # Each side rounds x by eps/2 * |x|, and a dot product of n terms in
+        # any order by n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability
+        # of Numerical Algorithms, 2002, section 3.1): the two values of s
+        # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
+        # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
+        # falls; a non-finite s or margin fails that test and is flagged.
+        with np.errstate(all="ignore"):
+            log_before, log_after = self._log_prices[rows], np.log(self._prices[rows] + increments)
+            s = (log_after - log_before) @ weights
+            margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ np.abs(weights))
+        return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
 
     def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
         """Every non-base level after adding ``increments`` (dataset order) to the prices.
@@ -181,25 +209,31 @@ def search_violations(
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
     levels = _Levels(ds, method)
-    base = ds.periods.index(levels.before.base_period)
-    prices = ds.price.tolist()
-    increments = np.zeros(len(ds))
+    targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
+    prices = ds.price[targets]
+    with np.errstate(over="ignore"):
+        increments = prices[:, None] * (np.array(grid, dtype=np.float64) - 1.0)
+    overflow = np.argwhere(~np.isfinite(increments))
+    if len(overflow):
+        t, g = overflow[0]
+        obs_id = ds.ids[targets[t]]
+        raise ValidationError(
+            f"obs {obs_id} price x{grid[g]:g}: perturbation for observation {obs_id!r} "
+            f"must be a non-negative finite number, got {float(increments[t, g])!r}"
+        )
+    # a single-sale perturbation can lower only its own period, by W[own, i] * x
+    own = levels._weights[ds.period_codes[targets], targets][:, None, None]
     violations = []
-    trials = 0
-    for i, code in enumerate(ds.period_codes.tolist()):
-        if code == base:
-            continue
-        obs_id = ds.ids[i]
-        for m in grid:
-            trials += 1
-            inc = prices[i] * (m - 1.0)
-            increments[i] = inc
-            comparisons = levels.compare(increments, {ds.periods[code]})
-            pert = Perturbation({obs_id: inc})
-            violations.extend(violations_from(f"obs {obs_id} price x{m:g}", comparisons, pert))
-        increments[i] = 0.0
+    flagged = levels.flagged(targets[:, None, None], increments[..., None], own, True)
+    for t, g in zip(*np.divmod(flagged, len(grid))):
+        i, inc = int(targets[t]), float(increments[t, g])
+        raised = np.zeros(len(ds))
+        raised[i] = inc
+        comparisons = levels.compare(raised, {ds.periods[ds.period_codes[i]]})
+        pert = Perturbation({ds.ids[i]: inc})
+        violations.extend(violations_from(f"obs {ds.ids[i]} price x{grid[g]:g}", comparisons, pert))
     return MonotonicityReport(
-        method=levels.before.method, trials=trials, violations=tuple(violations)
+        method=levels.before.method, trials=increments.size, violations=tuple(violations)
     )
 
 
@@ -217,12 +251,15 @@ def random_perturbation_audit(
     """
     if trials < 1:
         raise ModelError(f"trials must be at least 1, got {trials}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     levels = _Levels(ds, method)
     targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
     target_ids = [ds.ids[i] for i in targets.tolist()]
-    target_codes = ds.period_codes[targets]
     prices = ds.price[targets]
+    weights = levels._weights[:, targets].T
+    in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods)))
 
     increments = np.zeros(len(ds))
     violations = []
@@ -231,15 +268,12 @@ def random_perturbation_audit(
         # magnitudes draw per trial
         draws = rng.random((min(_DRAW_BLOCK, trials - start), 2, len(targets)))
         block = np.where(draws[:, 0] < 0.5, 0.0, draws[:, 1] * prices)
-        for offset, trial_increments in enumerate(block):
-            perturbed = {ds.periods[q] for q in set(target_codes[trial_increments > 0].tolist())}
-            if not perturbed:
-                continue
-            increments[targets] = trial_increments
-            comparisons = levels.compare(increments, perturbed)
-            if all(c.compliant for c in comparisons):
-                continue
-            pert = Perturbation(dict(zip(target_ids, trial_increments.tolist())))
+        perturbed = (block > 0) @ in_period
+        for offset in levels.flagged(targets, block, weights, perturbed).tolist():
+            increments[targets] = block[offset]
+            periods = {ds.periods[q] for q in np.flatnonzero(perturbed[offset])}
+            comparisons = levels.compare(increments, periods)
+            pert = Perturbation(dict(zip(target_ids, block[offset].tolist())))
             violations.extend(violations_from(f"trial {start + offset}", comparisons, pert))
     return MonotonicityReport(
         method=levels.before.method, trials=trials, violations=tuple(violations)

@@ -11,9 +11,9 @@ than the reference period,
 never formed) and reports standard errors, t statistics, two-sided
 Student-t p-values, R^2, and the coefficient covariance. The triangular
 factor serves both the coefficients and the covariance, so a fit factors
-the design once. :func:`solve_least_squares` and :func:`pseudo_inverse`
-use the same factorization for callers that need only the coefficients
-or their sensitivity to the response.
+the design once. :func:`solve_least_squares` and :func:`solve_with_pseudo_inverse`
+use the same factorization for callers that need only the coefficients,
+or the coefficients and their sensitivity to the response.
 """
 
 from __future__ import annotations
@@ -200,14 +200,15 @@ def solve_least_squares(sys: DesignSystem) -> np.ndarray:
     return _solve(sys, *_factor(sys))
 
 
-def pseudo_inverse(sys: DesignSystem) -> np.ndarray:
-    """X+ = R^-1 Q^T (columns x observations), from the factorization :func:`fit` uses.
+def solve_with_pseudo_inverse(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and X+ = R^-1 Q^T (columns x observations), from one factorization.
 
-    Row j holds d coef_j / d y_i, so for a time-dummy column it is the
-    sensitivity of that log index level to every log price.
+    The coefficients are bitwise those of :func:`fit`. Row j of X+ holds
+    d coef_j / d y_i, so for a time-dummy column it is the sensitivity of
+    that log index level to every log price.
     """
     q, r = _factor(sys)
-    return np.linalg.solve(r, q.T)
+    return _solve(sys, q, r), np.linalg.solve(r, q.T)
 
 
 def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> RegressionResult:

@@ -231,6 +231,26 @@ class TestMonotonicityCommand:
         assert code == 3
         assert "unknown observation id" in err
 
+    @pytest.mark.parametrize("method", ["hpm", "npgm"])
+    def test_overflowing_grid_increment_is_data_error(self, capsys, method):
+        # 1e308 x a price overflows: no JSON Infinity, no unreplayable violation
+        code, out, err = run(
+            capsys, "monotonicity", "--method", method, "--mode", "grid",
+            "--multipliers", "2,1e308", "--format", "json",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: obs 15 price x1e+308: perturbation for observation '15' "
+            "must be a non-negative finite number, got inf\n"
+        )
+
+    def test_negative_seed_is_data_error(self, capsys):
+        code, out, err = run(
+            capsys, "monotonicity", "--mode", "random", "--trials", "5", "--seed", "-1"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from artindex import (
     ModelSpec,
+    MonotonicityReport,
     Perturbation,
     RankDeficientError,
     SaleObservation,
@@ -160,6 +161,135 @@ class TestParityWithRefit:
             )
 
 
+def judge_every_grid_perturbation(ds, method, grid):
+    """The grid audit with no screen: :meth:`_Levels.compare` on every perturbation."""
+    levels = monotonicity._Levels(ds, method)
+    violations = []
+    trials = 0
+    for i, obs in enumerate(ds.observations):
+        if obs.period == levels.before.base_period:
+            continue
+        for m in grid:
+            trials += 1
+            increments = np.zeros(len(ds))
+            increments[i] = obs.price * (m - 1.0)
+            pert = Perturbation({obs.id: increments[i].item()})
+            comparisons = levels.compare(increments, {obs.period})
+            violations += monotonicity.violations_from(f"obs {obs.id} price x{m:g}", comparisons, pert)
+    return MonotonicityReport(levels.before.method, trials, tuple(violations))
+
+
+def judge_every_random_perturbation(ds, method, trials, seed):
+    """The random audit with no screen, drawing coins then magnitudes trial by trial."""
+    rng = np.random.default_rng(seed)
+    levels = monotonicity._Levels(ds, method)
+    targets = [o for o in ds.observations if o.period != levels.before.base_period]
+    prices = np.array([o.price for o in targets])
+    violations = []
+    for trial in range(trials):
+        coins, magnitudes = rng.random(len(targets)), rng.random(len(targets))
+        raised = np.where(coins < 0.5, 0.0, magnitudes * prices)
+        increments = np.zeros(len(ds))
+        increments[[ds.row(o.id) for o in targets]] = raised
+        pert = Perturbation({o.id: inc for o, inc in zip(targets, raised.tolist())})
+        perturbed = {o.period for o, inc in zip(targets, raised) if inc > 0}
+        comparisons = levels.compare(increments, perturbed)
+        violations += monotonicity.violations_from(f"trial {trial}", comparisons, pert)
+    return MonotonicityReport(levels.before.method, trials, tuple(violations))
+
+
+def assert_identical_reports(got, want):
+    assert got == want
+    assert [v.level_after.hex() for v in got.violations] == [
+        v.level_after.hex() for v in want.violations
+    ]
+
+
+def count_compare(monkeypatch):
+    calls = []
+    compare = monotonicity._Levels.compare
+
+    def counting_compare(self, *args):
+        calls.append(1)
+        return compare(self, *args)
+
+    monkeypatch.setattr(monotonicity._Levels, "compare", counting_compare)
+    return calls
+
+
+# a price step of an ulp or two, which log barely resolves, and a 1e-10
+# step, which moves a level by about the relative slack
+NEAR_ONE = (1.0 + 2.0**-52, 1.0000000001)
+
+
+class TestScreen:
+    """Screened audits against judging every perturbation exactly."""
+
+    @given(design=designs())
+    @HYPOTHESIS
+    def test_grid_equals_judging_every_perturbation(self, design):
+        ds, spec = design
+        for method in (*methods(ds, spec), hpm_method(pinned_log_area_spec(spec.reference_period))):
+            for grid in ([1.3, 2.5, 1000.0], NEAR_ONE):
+                assert_identical_reports(
+                    search_violations(ds, method, grid), judge_every_grid_perturbation(ds, method, grid)
+                )
+
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1))
+    @HYPOTHESIS
+    def test_random_equals_judging_every_perturbation(self, design, seed):
+        ds, spec = design
+        trials = monotonicity._DRAW_BLOCK + 3
+        for method in (*methods(ds, spec), hpm_method(pinned_log_area_spec(spec.reference_period))):
+            assert_identical_reports(
+                random_perturbation_audit(ds, method, trials, seed),
+                judge_every_random_perturbation(ds, method, trials, seed),
+            )
+
+    def test_steps_below_the_rounding_margin_are_all_judged(self, renoir, monkeypatch):
+        # log(p * (1 + 2**-48)) - log p is a few ulps of log p: positive,
+        # but inside the margin, which must send it to the exact judgment
+        calls = count_compare(monkeypatch)
+        for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
+            calls.clear()
+            report = search_violations(renoir, method, [1.0 + 2.0**-52, 1.0 + 2.0**-48])
+            assert len(calls) == report.trials == 30
+
+    def test_near_one_multiplier_finds_the_negative_weights(self, renoir, monkeypatch):
+        calls = count_compare(monkeypatch)
+        report = search_violations(renoir, hpm_method(EXAMPLE_SPEC), [1.0000000001])
+        assert {v.description for v in report.violations} == {
+            f"obs {i} price x1" for i in ("25", "28", "29")
+        }
+        assert 3 <= len(calls) < report.trials
+        assert_identical_reports(
+            report, judge_every_grid_perturbation(renoir, hpm_method(EXAMPLE_SPEC), [1.0000000001])
+        )
+
+    def test_pinned_log_area_hpm_is_compliant_like_npgm(self, renoir):
+        # its weights equal npgm's up to float noise, which must flag no level
+        pinned, npgm = hpm_method(pinned_log_area_spec("A")), npgm_method("A")
+        for audit in (
+            lambda method: search_violations(renoir, method, (*NEAR_ONE, 2.0)),
+            lambda method: random_perturbation_audit(renoir, method, 500, 7),
+        ):
+            got, want = audit(pinned), audit(npgm)
+            assert got.compliant and want.compliant and got.trials == want.trials
+
+    def test_compliant_bundled_audits_judge_nothing(self, renoir, monkeypatch):
+        calls = count_compare(monkeypatch)
+        method = npgm_method("A")
+        assert search_violations(renoir, method).compliant
+        assert random_perturbation_audit(renoir, method, 1000, 7).compliant
+        assert calls == []
+
+    def test_bundled_hpm_random_audit_judges_only_violating_trials(self, renoir, monkeypatch):
+        calls = count_compare(monkeypatch)
+        report = random_perturbation_audit(renoir, hpm_method(EXAMPLE_SPEC), 1000, 7)
+        assert report.violations
+        assert len(calls) == len({v.description for v in report.violations})
+
+
 class TestWeights:
     @given(design=designs())
     @HYPOTHESIS
@@ -228,7 +358,10 @@ class TestCost:
         calls.clear()
         search_violations(renoir, method)
         counts.append(len(calls))
-        assert counts == [2, 2, 2]
+        calls.clear()
+        check_monotonicity(renoir, method, Perturbation({"29": 1.0}))
+        counts.append(len(calls))
+        assert counts == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("block", [1, 5, 10_000])
     def test_draw_block_does_not_change_the_audit(self, renoir, monkeypatch, block):
