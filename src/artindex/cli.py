@@ -5,6 +5,13 @@ hedonic regression and print its table), ``monotonicity`` (audit an
 index method against the monotonicity requirement), and ``reproduce``
 (recompute the bundled example against the stored reference values).
 
+A JSON config file, ``--config FILE`` spelled out in full before the
+subcommand, supplies option values under the long option names: each
+entry becomes the token ``--key=value`` (``--key`` for true; null and
+false leave the option unset) right after the subcommand, so values are
+parsed exactly like flags and a bad one is a usage error. Keys the
+subcommand has no option for are ignored, and explicit flags win.
+
 Exit statuses: 0 success or compliant, 2 usage error, 3 data or model
 error, 4 monotonicity violation found. Output is deterministic: equal
 inputs and flags produce byte-identical reports (random audits require
@@ -15,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .csvio import InputSchema, bundled_data_path, load_csv
 from .domain import Dataset
@@ -64,34 +73,46 @@ EXIT_VIOLATION = 4
 DEFAULT_REGRESSORS = "area,aspect_ratio"
 
 
-def _read_config(argv: list[str]) -> dict:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the entries of leading ``--config FILE`` options as tokens after the subcommand."""
+    rest, path = argv, None
+    while rest:
+        option, equals, value = rest[0].partition("=")
+        if option != "--config" or not (equals or len(rest) > 1):
+            break
+        path, rest = (value, rest[1:]) if equals else (rest[1], rest[2:])
     if path is None:
-        return {}
+        return argv
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read config file {path}: {exc}"))
-    if not isinstance(payload, dict):
-        raise SystemExit(_usage_error(f"config file {path} must hold a JSON object"))
-    return {str(k).replace("-", "_"): v for k, v in payload.items()}
+        _usage_error(f"cannot read config file {path}: {exc}")
+    if not isinstance(config, dict):
+        _usage_error(f"config file {path} must hold a JSON object")
+    commands = _build_parser()[1]
+    if not rest or rest[0] not in commands:
+        return argv
+    options = commands[rest[0]]._option_string_actions
+    tokens = []
+    for key, value in config.items():
+        option = "--" + str(key).replace("_", "-")
+        action = options.get(option)
+        if action is None or action.dest == "help" or value is None or value is False:
+            continue
+        if isinstance(value, (list, dict)):
+            _usage_error(f"config key {key!r} must be a string, number or boolean")
+        tokens.append(option if value is True else f"{option}={value}")
+    return [rest[0], *tokens, *rest[1:]]
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _usage_error(message: str) -> NoReturn:
+    _build_parser()[0].error(message)
 
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
-    def cfg(key, default):
-        return config.get(key, default)
-
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="artindex",
         description=(
@@ -99,6 +120,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
             "normalized-price geometric means or hedonic time dummies, with "
             "monotonicity audits."
         ),
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -111,41 +133,37 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     g = data_parent.add_argument_group("input")
     g.add_argument(
         "--data",
-        default=cfg("data", None),
         help="input CSV path (default: the bundled Renoir 1989-1990 dataset)",
     )
-    g.add_argument("--id-column", default=cfg("id_column", "id"))
-    g.add_argument("--period-column", default=cfg("period_column", "dataset"))
-    g.add_argument("--price-column", default=cfg("price_column", "price_usd"))
+    g.add_argument("--id-column", default="id")
+    g.add_argument("--period-column", default="dataset")
+    g.add_argument("--price-column", default="price_usd")
     g.add_argument(
         "--area-column",
-        default=cfg("area_column", None),
         help="area column; defaults to area_cm2 unless height/width are mapped",
     )
-    g.add_argument("--height-column", default=cfg("height_column", None))
-    g.add_argument("--width-column", default=cfg("width_column", None))
+    g.add_argument("--height-column")
+    g.add_argument("--width-column")
     g.add_argument(
         "--ratio-column",
-        default=cfg("ratio_column", None),
         help="aspect ratio column; defaults to hw_ratio unless height/width are mapped",
     )
     g.add_argument(
         "--extra-columns",
-        default=cfg("extra_columns", ""),
+        default="",
         help="comma-separated extra characteristic columns",
     )
-    g.add_argument("--decimal-separator", default=cfg("decimal_separator", "."))
+    g.add_argument("--decimal-separator", default=".")
     g.add_argument(
         "--no-header",
         action="store_true",
-        default=cfg("no_header", False),
         help="file has no header row; column options are 0-based indexes",
     )
 
     model_parent = argparse.ArgumentParser(add_help=False)
     model_parent.add_argument(
         "--regressors",
-        default=cfg("regressors", DEFAULT_REGRESSORS),
+        default=DEFAULT_REGRESSORS,
         help="comma-separated characteristics for the hedonic model",
     )
 
@@ -154,75 +172,59 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         parents=[data_parent, model_parent],
         help="compute a price index series",
     )
-    p_index.add_argument("--method", choices=[NPGM, HPM], default=cfg("method", NPGM))
-    p_index.add_argument("--base", default=cfg("base", None), help="base period (default: first)")
-    p_index.add_argument(
-        "--base-value", type=float, default=cfg("base_value", DEFAULT_BASE_VALUE)
-    )
-    p_index.add_argument(
-        "--format", choices=["table", "json", "plot"], default=cfg("format", "table")
-    )
+    p_index.set_defaults(run=_cmd_index)
+    p_index.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
+    p_index.add_argument("--base", help="base period (default: first)")
+    p_index.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
+    p_index.add_argument("--format", choices=["table", "json", "plot"], default="table")
 
     p_fit = sub.add_parser(
         "fit",
         parents=[data_parent, model_parent],
         help="fit the hedonic time-dummy regression and report statistics",
     )
-    p_fit.add_argument(
-        "--reference", default=cfg("reference", None), help="reference period (default: first)"
-    )
-    p_fit.add_argument(
-        "--format", choices=["table", "json"], default=cfg("format", "table")
-    )
+    p_fit.set_defaults(run=_cmd_fit)
+    p_fit.add_argument("--reference", help="reference period (default: first)")
+    p_fit.add_argument("--format", choices=["table", "json"], default="table")
 
     p_mono = sub.add_parser(
         "monotonicity",
         parents=[data_parent, model_parent],
         help="audit an index method against the monotonicity requirement",
     )
-    p_mono.add_argument("--method", choices=[NPGM, HPM], default=cfg("method", NPGM))
-    p_mono.add_argument("--base", default=cfg("base", None))
-    p_mono.add_argument(
-        "--base-value", type=float, default=cfg("base_value", DEFAULT_BASE_VALUE)
-    )
-    p_mono.add_argument(
-        "--mode", choices=["single", "grid", "random"], default=cfg("mode", "single")
-    )
-    p_mono.add_argument("--obs", default=cfg("obs", None), help="observation id (single mode)")
+    p_mono.set_defaults(run=_cmd_monotonicity)
+    p_mono.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
+    p_mono.add_argument("--base")
+    p_mono.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
+    p_mono.add_argument("--mode", choices=["single", "grid", "random"], default="single")
+    p_mono.add_argument("--obs", help="observation id (single mode)")
     p_mono.add_argument(
         "--multiplier",
         type=float,
-        default=cfg("multiplier", 1.5),
+        default=1.5,
         help="price multiplier for single mode (>= 1)",
     )
     p_mono.add_argument(
         "--multipliers",
-        default=cfg("multipliers", None),
         help="comma-separated multipliers for grid mode (default: 1.1 to 3.0 by 0.1)",
     )
-    p_mono.add_argument("--trials", type=int, default=cfg("trials", 1000))
-    p_mono.add_argument(
-        "--seed", type=int, default=cfg("seed", None), help="mandatory in random mode"
-    )
+    p_mono.add_argument("--trials", type=int, default=1000)
+    p_mono.add_argument("--seed", type=int, help="mandatory in random mode")
     p_mono.add_argument(
         "--melser",
-        default=cfg("melser", None),
         help="also report the period/characteristic association for this characteristic",
     )
-    p_mono.add_argument(
-        "--format", choices=["table", "json"], default=cfg("format", "table")
-    )
+    p_mono.add_argument("--format", choices=["table", "json"], default="table")
 
     p_rep = sub.add_parser(
         "reproduce",
         help="recompute the bundled example and verify it against reference values",
     )
-    p_rep.add_argument("--outdir", default=cfg("outdir", None), required=cfg("outdir", None) is None)
-    p_rep.add_argument(
-        "--format", choices=["table", "json"], default=cfg("format", "table")
-    )
+    p_rep.set_defaults(run=_cmd_reproduce)
+    p_rep.add_argument("--outdir", required=True)
+    p_rep.add_argument("--format", choices=["table", "json"], default="table")
 
-    return parser
+    return parser, sub.choices
 
 
 def _schema_from_args(args) -> InputSchema:
@@ -319,7 +321,7 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_monotonicity(args) -> int:
     ds, data_label = _load_dataset(args)
     base = args.base if args.base is not None else ds.periods[0]
     if args.method == NPGM:
@@ -339,9 +341,9 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
     comparisons = None
     if args.mode == "single":
         if args.obs is None:
-            parser.error("--obs is required in single mode")
+            _usage_error("--obs is required in single mode")
         if args.multiplier < 1:
-            parser.error("--multiplier must be >= 1")
+            _usage_error("--multiplier must be >= 1")
         config["obs"] = args.obs
         config["multiplier"] = args.multiplier
         price = float(ds.price[ds.row(args.obs)])
@@ -358,12 +360,12 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
             try:
                 grid = tuple(float(m) for m in args.multipliers.split(",") if m.strip())
             except ValueError:
-                parser.error(f"--multipliers must be comma-separated numbers, got {args.multipliers!r}")
+                _usage_error(f"--multipliers must be comma-separated numbers, got {args.multipliers!r}")
         config["multipliers"] = list(grid)
         mono = search_violations(ds, method, grid)
     else:
         if args.seed is None:
-            parser.error("--seed is required in random mode")
+            _usage_error("--seed is required in random mode")
         config["trials"] = args.trials
         config["seed"] = args.seed
         mono = random_perturbation_audit(ds, method, args.trials, args.seed)
@@ -388,47 +390,26 @@ def _cmd_monotonicity(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_reproduce(args) -> int:
     summary = write_replication_outputs(args.outdir)
-    if args.format == "json":
-        report = Report(
-            command="reproduce",
-            config={"outdir": str(args.outdir), "format": args.format},
-            body={
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in summary.checks
-                ],
-                "passed": summary.passed,
-                "output_dir": str(args.outdir),
-            },
-        )
-        _print(report.to_json())
-    else:
-        _print("\n".join(summary.lines()))
+    body = {
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in summary.checks],
+        "passed": summary.passed,
+        "output_dir": str(args.outdir),
+    }
+    config = {"outdir": str(args.outdir), "format": args.format}
+    report = Report(command="reproduce", config=config, body=body)
+    _emit(report, "\n".join(summary.lines()), args.format)
     return EXIT_OK if summary.passed else EXIT_DATA
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()[0]
     try:
-        config = _read_config(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    parser = _build_parser(config)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.subcommand == "index":
-            return _cmd_index(args)
-        if args.subcommand == "fit":
-            return _cmd_fit(args)
-        if args.subcommand == "monotonicity":
-            return _cmd_monotonicity(args, parser)
-        return _cmd_reproduce(args)
+        args = parser.parse_args(_with_config(argv))
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ArtindexError as exc:

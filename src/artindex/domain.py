@@ -237,7 +237,7 @@ def restrict_to_periods(ds: Dataset, periods: Sequence[str]) -> Dataset:
 
 
 def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
-    """Raise unless every increment is a non-negative finite number for a known id."""
+    """Raise unless every increment is non-negative, for a known id, and leaves its price finite."""
     errors = []
     for obs_id, inc in increments.items():
         if obs_id not in ds._rows:
@@ -247,6 +247,8 @@ def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
                 f"perturbation for observation {obs_id!r} must be a "
                 f"non-negative finite number, got {inc!r}"
             )
+        elif not math.isfinite(float(ds.price[ds._rows[obs_id]]) + inc):
+            errors.append(f"perturbation for observation {obs_id!r} overflows its price, got {inc!r}")
     if errors:
         raise ValidationError(errors)
 

@@ -122,10 +122,9 @@ class _Levels:
         # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
         # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
         # falls; a non-finite s or margin fails that test and is flagged.
-        with np.errstate(all="ignore"):
-            log_before, log_after = self._log_prices[rows], np.log(self._prices[rows] + increments)
-            s = (log_after - log_before) @ weights
-            margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ np.abs(weights))
+        log_before, log_after = self._log_prices[rows], np.log(self._prices[rows] + increments)
+        s = (log_after - log_before) @ weights
+        margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ np.abs(weights))
         return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
 
     def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
@@ -170,6 +169,22 @@ def violations_from(
     )
 
 
+def _check_raised(ds: Dataset, rows: np.ndarray, increments: np.ndarray, describe) -> None:
+    """Refuse the first price a batch raises past the float range, as :func:`check_increments` does.
+
+    Perturbation ``describe(*i)`` adds ``increments[i]`` to sale ``rows[i]`` (broadcast).
+    """
+    with np.errstate(over="ignore"):
+        overflow = np.argwhere(~np.isfinite(ds.price[rows] + increments))
+    if len(overflow):
+        i = tuple(overflow[0])
+        obs_id = ds.ids[np.broadcast_to(rows, increments.shape)[i]]
+        try:
+            check_increments(ds, {obs_id: float(increments[i])})
+        except ValidationError as exc:
+            raise ValidationError(f"{describe(*i)}: {exc}") from None
+
+
 def check_monotonicity(
     ds: Dataset, method: IndexMethod, pert: Perturbation
 ) -> tuple[LevelComparison, ...]:
@@ -210,17 +225,13 @@ def search_violations(
 
     levels = _Levels(ds, method)
     targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
-    prices = ds.price[targets]
     with np.errstate(over="ignore"):
-        increments = prices[:, None] * (np.array(grid, dtype=np.float64) - 1.0)
-    overflow = np.argwhere(~np.isfinite(increments))
-    if len(overflow):
-        t, g = overflow[0]
-        obs_id = ds.ids[targets[t]]
-        raise ValidationError(
-            f"obs {obs_id} price x{grid[g]:g}: perturbation for observation {obs_id!r} "
-            f"must be a non-negative finite number, got {float(increments[t, g])!r}"
-        )
+        increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
+
+    def describe(t, g):
+        return f"obs {ds.ids[targets[t]]} price x{grid[g]:g}"
+
+    _check_raised(ds, targets[:, None], increments, describe)
     # a single-sale perturbation can lower only its own period, by W[own, i] * x
     own = levels._weights[ds.period_codes[targets], targets][:, None, None]
     violations = []
@@ -231,7 +242,7 @@ def search_violations(
         raised[i] = inc
         comparisons = levels.compare(raised, {ds.periods[ds.period_codes[i]]})
         pert = Perturbation({ds.ids[i]: inc})
-        violations.extend(violations_from(f"obs {ds.ids[i]} price x{grid[g]:g}", comparisons, pert))
+        violations.extend(violations_from(describe(t, g), comparisons, pert))
     return MonotonicityReport(
         method=levels.before.method, trials=increments.size, violations=tuple(violations)
     )
@@ -268,6 +279,7 @@ def random_perturbation_audit(
         # magnitudes draw per trial
         draws = rng.random((min(_DRAW_BLOCK, trials - start), 2, len(targets)))
         block = np.where(draws[:, 0] < 0.5, 0.0, draws[:, 1] * prices)
+        _check_raised(ds, targets, block, lambda k, _: f"trial {start + k}")
         perturbed = (block > 0) @ in_period
         for offset in levels.flagged(targets, block, weights, perturbed).tolist():
             increments[targets] = block[offset]

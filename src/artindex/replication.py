@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .csvio import load_bundled_dataset
 from .domain import Dataset, with_period_relabeled, with_price_scaled
+from .errors import ArtindexError
 from .indexes import (
     hpm_index_from_result,
     hpm_method,
@@ -286,19 +287,17 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
     serialize what the harness computed; nothing is refitted.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     ds_ab = dataset if dataset is not None else load_bundled_dataset()
     summary, fits, levels_by_file = _replicate(ds_ab)
 
     periods = [ds_ab.periods[q] for q in ds_ab.period_codes.tolist()]
     areas = ds_ab.area.tolist()
-    lines = ["id,dataset,price_usd,area_cm2,unit_price_usd_per_cm2"]
+    files = {"unit_prices.csv": ["id,dataset,price_usd,area_cm2,unit_price_usd_per_cm2"]}
     for obs_id, period, price, area in zip(ds_ab.ids, periods, ds_ab.price.tolist(), areas):
-        lines.append(f"{obs_id},{period},{price:g},{area:g},{price / area!r}")
-    (outdir / "unit_prices.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files["unit_prices.csv"].append(f"{obs_id},{period},{price:g},{area:g},{price / area!r}")
 
     for name, result in fits.items():
-        lines = ["term,coefficient,standard_error,t_statistic,p_value"]
+        lines = files[name] = ["term,coefficient,standard_error,t_statistic,p_value"]
         for column, *values in zip(
             result.column_names,
             result.coefficients,
@@ -307,14 +306,18 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
             result.p_values,
         ):
             lines.append(",".join([column, *(repr(float(v)) for v in values)]))
-        (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     for name, levels in levels_by_file.items():
-        lines = ["period,level"] + [f"{p},{v!r}" for p, v in levels.items()]
-        (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[name] = ["period,level"] + [f"{p},{v!r}" for p, v in levels.items()]
+    files["area_by_dataset.csv"] = ["dataset,area_cm2"] + [
+        f"{period},{area:g}" for period, area in zip(periods, areas)
+    ]
+    files["summary.txt"] = summary.lines()
 
-    lines = ["dataset,area_cm2"] + [f"{period},{area:g}" for period, area in zip(periods, areas)]
-    (outdir / "area_by_dataset.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    (outdir / "summary.txt").write_text("\n".join(summary.lines()) + "\n", encoding="utf-8")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, lines in files.items():
+            (outdir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ArtindexError(f"cannot write {outdir}: {exc}") from exc
     return summary

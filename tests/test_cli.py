@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import artindex
+from artindex import cli
 from artindex.cli import main
 from artindex.replication import run_replication, write_replication_outputs
 from artindex.report import Report
@@ -244,6 +246,32 @@ class TestMonotonicityCommand:
             "must be a non-negative finite number, got inf\n"
         )
 
+    @pytest.mark.parametrize("method", ["hpm", "npgm"])
+    @pytest.mark.parametrize(
+        "mode,error",
+        [
+            (["--mode", "single", "--obs", "17"], "error: "),
+            (["--mode", "grid", "--multipliers", "1.5"], "error: obs 17 price x1.5: "),
+            (["--mode", "random", "--trials", "100", "--seed", "3"], "error: trial 0: "),
+        ],
+        ids=["single", "grid", "random"],
+    )
+    def test_overflowing_raised_price_is_data_error(self, capsys, tmp_path, method, mode, error):
+        # two sales priced 1.7e308: raising either by half overflows to inf
+        path = tmp_path / "huge.csv"
+        rows = ["id,dataset,price_usd,area_cm2,hw_ratio"]
+        for i in range(1, 19):
+            price = 1.7e308 if i in (17, 18) else 1000.0 * i * i
+            area, ratio = 100 + 37 * (i % 7) + i, 0.5 + 0.1 * (i % 5)
+            rows.append(f"{i},{'A' if i <= 9 else 'B'},{price!r},{area},{ratio}")
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(
+            capsys, "monotonicity", "--data", str(path), "--method", method, *mode, "--format", "json"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(error + "perturbation for observation '1")
+        assert "overflows its price, got " in err and err.count("\n") == 1
+
     def test_negative_seed_is_data_error(self, capsys):
         code, out, err = run(
             capsys, "monotonicity", "--mode", "random", "--trials", "5", "--seed", "-1"
@@ -292,6 +320,76 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", "/nonexistent.json", "index")
         assert code == 2
         assert "config" in err
+
+    @staticmethod
+    def config(tmp_path, **entries) -> str:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entries))
+        return str(path)
+
+    @pytest.mark.parametrize("key,value", [("method", "bogus"), ("format", "xml")])
+    def test_bad_choice_is_usage_error(self, capsys, tmp_path, key, value):
+        code, out, err = run(capsys, "--config", self.config(tmp_path, **{key: value}), "index")
+        assert (code, out) == (2, "")
+        assert f"argument --{key}: invalid choice: '{value}'" in err
+
+    def test_list_value_is_usage_error_naming_the_key(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, regressors=["area"])
+        code, out, err = run(capsys, "--config", cfg, "index", "--method", "hpm")
+        assert (code, out) == (2, "")
+        assert "'regressors'" in err and "Traceback" not in err
+
+    def test_abbreviated_config_option_is_refused(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, method="hpm", format="json")
+        code, out, _ = run(capsys, "--conf", cfg, "index")
+        assert (code, out) == (2, "")
+
+    def test_values_parse_like_flags(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, base_value=50, format="json")
+        from_config = run(capsys, "--config", cfg, "index")
+        from_flags = run(capsys, "index", "--base-value", "50", "--format", "json")
+        assert from_config == from_flags
+        assert Report.from_json(from_config[1]).config["base_value"] == 50.0
+
+    def test_outdir_satisfies_reproduce(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, outdir=str(tmp_path / "out"))
+        code, _, _ = run(capsys, "--config", cfg, "reproduce")
+        assert code == 3  # the known reference p-value mismatch, not a usage error
+        assert (tmp_path / "out" / "summary.txt").exists()
+
+    def test_key_the_subcommand_lacks_is_ignored(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, method="hpm", format="json")
+        code, out, _ = run(capsys, "--config", cfg, "fit")
+        assert code == 0
+        assert Report.from_json(out).command == "fit"
+
+    def test_string_number_converts(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, mode="random", trials="10", seed=1, format="json")
+        code, out, _ = run(capsys, "--config", cfg, "monotonicity")
+        assert code == 0
+        assert Report.from_json(out).body["trials"] == 10
+
+    def test_config_does_not_leak_into_the_next_call(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, method="hpm", base_value=50)
+        run(capsys, "--config", cfg, "index", "--format", "json")
+        _, out, _ = run(capsys, "index", "--format", "json")
+        config = Report.from_json(out).config
+        assert (config["method"], config["base_value"]) == ("npgm", 100.0)
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run(capsys, "index", "--format", "json")
+        built = len(calls)
+        run(capsys, "fit", "--format", "json")
+        assert built > 0 and len(calls) == built
 
 
 def _generated_csv(path: Path) -> Path:
@@ -442,6 +540,14 @@ class TestReproduceCommand:
         assert "dummy" in by_name["fit_ab_coefficients"].detail
         assert not by_name["unit_prices"].passed
         assert "obs 29" in by_name["unit_prices"].detail
+
+    @pytest.mark.parametrize("outdir", ["taken", "taken/sub"])
+    def test_unwritable_outdir_is_data_error(self, capsys, tmp_path, outdir):
+        (tmp_path / "taken").write_text("a file, not a directory\n")
+        target = tmp_path / outdir
+        code, out, err = run(capsys, "reproduce", "--outdir", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(
