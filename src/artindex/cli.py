@@ -272,7 +272,8 @@ def _emit(report: Report, table_text: str, fmt: str) -> None:
     _print(report.to_json() if fmt == "json" else table_text)
 
 
-def _cmd_index(args) -> int:
+def _load_with_base(args) -> tuple[Dataset, str, dict]:
+    """The dataset, its base period (default: the first) and the config that index and audits share."""
     ds, data_label = _load_dataset(args)
     base = args.base if args.base is not None else ds.periods[0]
     config = {
@@ -281,8 +282,13 @@ def _cmd_index(args) -> int:
         "base": base,
         "base_value": args.base_value,
         "regressors": list(_names(args.regressors)),
-        "format": args.format,
     }
+    return ds, base, config
+
+
+def _cmd_index(args) -> int:
+    ds, base, config = _load_with_base(args)
+    config["format"] = args.format
     if args.method == NPGM:
         series = npgm_index(ds, base, args.base_value)
         body = {"index": index_series_dict(series)}
@@ -322,22 +328,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_monotonicity(args) -> int:
-    ds, data_label = _load_dataset(args)
-    base = args.base if args.base is not None else ds.periods[0]
+    ds, base, config = _load_with_base(args)
+    config.update(mode=args.mode, format=args.format)
     if args.method == NPGM:
         method = npgm_method(base, args.base_value)
     else:
         method = hpm_method(_model_spec(args, base), args.base_value)
-
-    config = {
-        "data": data_label,
-        "method": args.method,
-        "base": base,
-        "base_value": args.base_value,
-        "regressors": list(_names(args.regressors)),
-        "mode": args.mode,
-        "format": args.format,
-    }
     comparisons = None
     if args.mode == "single":
         if args.obs is None:

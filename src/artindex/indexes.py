@@ -58,6 +58,13 @@ class IndexSeries:
     base_value: float
     levels: Mapping[str, float]
 
+    def __post_init__(self):
+        for period, level in self.levels.items():
+            if not (math.isfinite(level) and level > 0):
+                raise ModelError(
+                    f"level {period!r} is past the float range at base value {self.base_value!r}"
+                )
+
     def level(self, period: str) -> float:
         try:
             return self.levels[period]
@@ -112,6 +119,15 @@ def _geometric_mean(values: np.ndarray) -> float:
     return float(np.exp(np.log(values).mean()))
 
 
+def two_period_rows(ds: Dataset, period0: str, period1: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``period0`` and of ``period1``, refusing a period the dataset lacks."""
+    parts = partition_by_period(ds)
+    for label in (period0, period1):
+        if label not in parts:
+            raise ModelError(f"period {label!r} not present in dataset")
+    return parts[period0], parts[period1]
+
+
 def npgm_level(observations: Sequence[SaleObservation]) -> float:
     """Geometric mean of unitary prices for one period's observations."""
     return _geometric_mean(np.array([o.price / o.area for o in observations], dtype=np.float64))
@@ -146,12 +162,13 @@ def npgm_index(
 
 
 def _hpm_series(
-    coefficient: Callable[[str], float], ds: Dataset, reference: str, base_value: float
+    column_names: Sequence[str], coef: np.ndarray, ds: Dataset, reference: str, base_value: float
 ) -> IndexSeries:
+    coefficient = dict(zip(column_names, coef.tolist()))
     levels = {
         p: base_value
         if p == reference
-        else base_value * math.exp(coefficient(dummy_column_name(p)))
+        else base_value * math.exp(coefficient[dummy_column_name(p)])
         for p in ds.periods
     }
     return IndexSeries(method=HPM, base_period=reference, base_value=base_value, levels=levels)
@@ -165,7 +182,7 @@ def hpm_index_from_result(
 ) -> IndexSeries:
     """Time-dummy index read off an already-fitted hedonic model."""
     _require_base(ds, spec.reference_period, base_value)
-    return _hpm_series(result.coefficient, ds, spec.reference_period, base_value)
+    return _hpm_series(result.column_names, result.coefficients, ds, spec.reference_period, base_value)
 
 
 def hpm_timedummy_index(
@@ -178,13 +195,7 @@ def hpm_timedummy_index(
     """
     _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
-    coef = solve_least_squares(sys)
-    return _hpm_series(
-        lambda name: float(coef[sys.column_names.index(name)]),
-        ds,
-        spec.reference_period,
-        base_value,
-    )
+    return _hpm_series(sys.column_names, solve_least_squares(sys), ds, spec.reference_period, base_value)
 
 
 def _hpm_evaluate(
@@ -193,14 +204,10 @@ def _hpm_evaluate(
     _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
     coef, pinv = solve_with_pseudo_inverse(sys)
-    column = sys.column_names.index
-    series = _hpm_series(
-        lambda name: float(coef[column(name)]), ds, spec.reference_period, base_value
-    )
+    series = _hpm_series(sys.column_names, coef, ds, spec.reference_period, base_value)
     w = np.zeros((len(ds.periods), len(ds)))
-    for q, period in enumerate(ds.periods):
-        if period != spec.reference_period:
-            w[q] = pinv[column(dummy_column_name(period))]
+    # the dummy rows of X+ come last, in period order without the reference
+    w[np.arange(len(w)) != ds.periods.index(spec.reference_period)] = pinv[len(pinv) - len(w) + 1 :]
     return series, w
 
 
@@ -252,19 +259,13 @@ def theta_factor(
     use their fitted coefficients and pinned characteristics their pinned
     ones, which is what makes the identity exact for constrained fits too.
     """
-    parts = partition_by_period(ds)
-    for label in (period0, period1):
-        if label not in parts:
-            raise ModelError(f"period {label!r} not present in dataset")
-
+    rows0, rows1 = two_period_rows(ds, period0, period1)
     exponent = 0.0
     weighted = [(name, result.coefficient(name)) for name in spec.regressors]
     weighted.extend(spec.pinned)
     for name, beta in weighted:
         column = characteristic_column(ds, name)
-        exponent += beta * (
-            float(np.mean(column[parts[period0]])) - float(np.mean(column[parts[period1]]))
-        )
+        exponent += beta * (float(np.mean(column[rows0])) - float(np.mean(column[rows1])))
     return math.exp(exponent)
 
 
@@ -282,10 +283,8 @@ def decompose_index(
     two_spec = replace(spec, reference_period=period0)
     result = fit(sub, two_spec)
 
-    parts = partition_by_period(sub)
-    geomean_ratio = _geometric_mean(sub.price[parts[period1]]) / _geometric_mean(
-        sub.price[parts[period0]]
-    )
+    rows0, rows1 = two_period_rows(sub, period0, period1)
+    geomean_ratio = _geometric_mean(sub.price[rows1]) / _geometric_mean(sub.price[rows0])
     theta = theta_factor(result, sub, period0, period1, two_spec)
     exp_delta = math.exp(result.coefficient(dummy_column_name(period1)))
     product = geomean_ratio * theta

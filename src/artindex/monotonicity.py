@@ -18,6 +18,8 @@ perturbed level exactly as ``level_before[q] * exp(W[q] @ x)`` with
 x = log(p + inc) - log p, with no refit. The grid and random audits
 screen their perturbations in bulk and judge exactly only those flagged:
 one whose every raised period has W[q] @ x clearly above zero lowers no level.
+All three judge through one method, ``_Levels.judge``, so each violation
+an audit reports replays through :func:`check_monotonicity` bit for bit.
 
 Perturbations target observations outside the base period: levels are
 anchored ratios to the base, so only non-base perturbations make the
@@ -32,9 +34,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import Dataset, check_increments, partition_by_period
+from .domain import Dataset, check_increments
 from .errors import ModelError, ValidationError
-from .indexes import IndexMethod
+from .indexes import IndexMethod, two_period_rows
 from .regression import characteristic_column, student_t_two_sided_p
 
 # relative slack distinguishing a genuine level drop from float noise
@@ -92,15 +94,15 @@ class MonotonicityReport:
 
 
 class _Levels:
-    """Index levels of one dataset, before and after price increments."""
+    """Index levels of one dataset, before and after price increments, and its audited sales."""
 
     def __init__(self, ds: Dataset, method: IndexMethod):
         self.before, self._weights = method.evaluate(ds)
-        self._periods = ds.periods
-        self._prices = ds.price
-        self._log_prices = np.log(self._prices)
+        self._ds = ds
+        self._log_prices = np.log(ds.price)
         self._level_before = np.array([self.before.levels[p] for p in ds.periods])
         self._rounding = 4 * len(ds) * np.finfo(np.float64).eps
+        self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
 
     def flagged(
         self, rows: np.ndarray, increments: np.ndarray, weights: np.ndarray, perturbed: np.ndarray | bool
@@ -122,7 +124,7 @@ class _Levels:
         # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
         # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
         # falls; a non-finite s or margin fails that test and is flagged.
-        log_before, log_after = self._log_prices[rows], np.log(self._prices[rows] + increments)
+        log_before, log_after = self._log_prices[rows], np.log(self._ds.price[rows] + increments)
         s = (log_after - log_before) @ weights
         margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ np.abs(weights))
         return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
@@ -133,10 +135,10 @@ class _Levels:
         A period is compliant unless it is in ``perturbed`` and its level
         fell by more than the relative slack.
         """
-        log_change = np.log(self._prices + increments) - self._log_prices
+        log_change = np.log(self._ds.price + increments) - self._log_prices
         after = self._level_before * np.exp(self._weights @ log_change)
         comparisons = []
-        for period, level_after in zip(self._periods, after.tolist()):
+        for period, level_after in zip(self._ds.periods, after.tolist()):
             if period == self.before.base_period:
                 continue
             level_before = self.before.levels[period]
@@ -150,6 +152,17 @@ class _Levels:
                 )
             )
         return tuple(comparisons)
+
+    def judge(
+        self, description: str, rows: np.ndarray, increments: np.ndarray
+    ) -> tuple[tuple[LevelComparison, ...], tuple[Violation, ...]]:
+        """:meth:`compare` after raising sale ``rows[j]`` by ``increments[j]``, and its violations."""
+        ds, full = self._ds, np.zeros(len(self._log_prices))
+        full[rows] = increments
+        codes, rows, increments = ds.period_codes[rows].tolist(), rows.tolist(), increments.tolist()
+        comparisons = self.compare(full, {ds.periods[q] for q, inc in zip(codes, increments) if inc > 0})
+        pert = Perturbation({ds.ids[i]: inc for i, inc in zip(rows, increments)})
+        return comparisons, violations_from(description, comparisons, pert)
 
 
 def violations_from(
@@ -192,18 +205,20 @@ def check_monotonicity(
 
     Returns one comparison per non-base period; a period is compliant
     unless it received a positive increment and its level fell by more
-    than the relative slack.
+    than the relative slack. A perturbation that pushes a level past the
+    float range is refused.
     """
     if not pert.increments:
         raise ValidationError("perturbation has no increments")
     check_increments(ds, pert.increments)
-    levels = _Levels(ds, method)
-    rows = [ds.row(obs_id) for obs_id in pert.increments]
-    increments = np.zeros(len(ds))
-    increments[rows] = [float(inc) for inc in pert.increments.values()]
-    raised = [row for row, inc in zip(rows, pert.increments.values()) if inc > 0]
-    perturbed = {ds.periods[q] for q in set(ds.period_codes[raised].tolist())}
-    return levels.compare(increments, perturbed)
+    rows = np.array([ds.row(obs_id) for obs_id in pert.increments])
+    increments = np.array([float(inc) for inc in pert.increments.values()])
+    with np.errstate(over="ignore"):
+        comparisons, _ = _Levels(ds, method).judge("", rows, increments)
+    for c in comparisons:
+        if not (math.isfinite(c.level_after) and c.level_after > 0):
+            raise ValidationError(f"perturbation pushes level {c.period!r} past the float range")
+    return comparisons
 
 
 def search_violations(
@@ -224,7 +239,7 @@ def search_violations(
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
     levels = _Levels(ds, method)
-    targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
+    targets = levels.targets
     with np.errstate(over="ignore"):
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
 
@@ -237,12 +252,7 @@ def search_violations(
     violations = []
     flagged = levels.flagged(targets[:, None, None], increments[..., None], own, True)
     for t, g in zip(*np.divmod(flagged, len(grid))):
-        i, inc = int(targets[t]), float(increments[t, g])
-        raised = np.zeros(len(ds))
-        raised[i] = inc
-        comparisons = levels.compare(raised, {ds.periods[ds.period_codes[i]]})
-        pert = Perturbation({ds.ids[i]: inc})
-        violations.extend(violations_from(describe(t, g), comparisons, pert))
+        violations += levels.judge(describe(t, g), targets[t : t + 1], increments[t, g : g + 1])[1]
     return MonotonicityReport(
         method=levels.before.method, trials=increments.size, violations=tuple(violations)
     )
@@ -266,13 +276,11 @@ def random_perturbation_audit(
         raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     levels = _Levels(ds, method)
-    targets = np.flatnonzero(ds.period_codes != ds.periods.index(levels.before.base_period))
-    target_ids = [ds.ids[i] for i in targets.tolist()]
+    targets = levels.targets
     prices = ds.price[targets]
     weights = levels._weights[:, targets].T
     in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods)))
 
-    increments = np.zeros(len(ds))
     violations = []
     for start in range(0, trials, _DRAW_BLOCK):
         # one draw per block yields the same stream as a coins draw and a
@@ -282,11 +290,7 @@ def random_perturbation_audit(
         _check_raised(ds, targets, block, lambda k, _: f"trial {start + k}")
         perturbed = (block > 0) @ in_period
         for offset in levels.flagged(targets, block, weights, perturbed).tolist():
-            increments[targets] = block[offset]
-            periods = {ds.periods[q] for q in np.flatnonzero(perturbed[offset])}
-            comparisons = levels.compare(increments, periods)
-            pert = Perturbation(dict(zip(target_ids, block[offset].tolist())))
-            violations.extend(violations_from(f"trial {start + offset}", comparisons, pert))
+            violations += levels.judge(f"trial {start + offset}", targets, block[offset])[1]
     return MonotonicityReport(
         method=levels.before.method, trials=trials, violations=tuple(violations)
     )
@@ -301,13 +305,15 @@ def melser_diagnostic(
     near zero signals low risk of time-dummy monotonicity violations; a
     strong association is the known precondition for them.
     """
-    parts = partition_by_period(ds)
-    for label in (period0, period1):
-        if label not in parts:
-            raise ModelError(f"period {label!r} not present in dataset")
+    return _point_biserial(ds, characteristic, period0, period1)[0]
+
+
+def _point_biserial(ds: Dataset, characteristic: str, period0: str, period1: str) -> tuple[float, int]:
+    """:func:`melser_diagnostic`'s correlation and the number of sales behind it."""
+    rows0, rows1 = two_period_rows(ds, period0, period1)
     column = characteristic_column(ds, characteristic)
-    values = np.concatenate([column[parts[period0]], column[parts[period1]]])
-    membership = np.repeat([0.0, 1.0], [len(parts[period0]), len(parts[period1])])
+    values = np.concatenate([column[rows0], column[rows1]])
+    membership = np.repeat([0.0, 1.0], [len(rows0), len(rows1)])
 
     x_centered = values - values.mean()
     d_centered = membership - membership.mean()
@@ -318,7 +324,7 @@ def melser_diagnostic(
             f"characteristic {characteristic!r} has zero variance across "
             f"periods {period0!r} and {period1!r}"
         )
-    return float((x_centered @ d_centered) / math.sqrt(x_ss * d_ss))
+    return float((x_centered @ d_centered) / math.sqrt(x_ss * d_ss)), len(values)
 
 
 def melser_significance(
@@ -330,9 +336,7 @@ def melser_significance(
     the point-biserial correlation is the pooled two-sample t test for a
     mean difference between the two periods.
     """
-    r = melser_diagnostic(ds, characteristic, period0, period1)
-    parts = partition_by_period(ds)
-    n = len(parts[period0]) + len(parts[period1])
+    r, n = _point_biserial(ds, characteristic, period0, period1)
     if n <= 2:
         raise ModelError("significance test needs more than two observations")
     if abs(r) >= 1.0:

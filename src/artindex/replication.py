@@ -278,7 +278,7 @@ def _replicate(
     return ReplicationSummary(checks=tuple(checks)), fits, levels
 
 
-def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None) -> ReplicationSummary:
+def write_replication_outputs(outdir: str | Path) -> ReplicationSummary:
     """Run the harness and write every recomputed artifact under ``outdir``.
 
     Emits the unitary-price table, both fit tables, the two index
@@ -287,7 +287,7 @@ def write_replication_outputs(outdir: str | Path, dataset: Dataset | None = None
     serialize what the harness computed; nothing is refitted.
     """
     outdir = Path(outdir)
-    ds_ab = dataset if dataset is not None else load_bundled_dataset()
+    ds_ab = load_bundled_dataset()
     summary, fits, levels_by_file = _replicate(ds_ab)
 
     periods = [ds_ab.periods[q] for q in ds_ab.period_codes.tolist()]

@@ -73,8 +73,8 @@ def regression_result_dict(result: RegressionResult) -> dict:
         "sigma2": float(result.sigma2),
         "r_squared": float(result.r_squared),
         "adjusted_r_squared": float(result.adjusted_r_squared),
-        "residuals": [float(r) for r in result.residuals],
-        "covariance": [[float(v) for v in row] for row in result.covariance],
+        "residuals": result.residuals.tolist(),
+        "covariance": result.covariance.tolist(),
     }
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,15 @@ class TestIndexCommand:
             code, out, err = run(capsys, "index", "--method", method, "--data", str(path))
             assert (code, out) == (3, "")
             assert err == "error: index computation needs at least two periods, dataset has 1\n"
+
+    @pytest.mark.parametrize("method,fmt", [("npgm", "json"), ("hpm", "json"), ("npgm", "plot")])
+    def test_level_past_the_float_range_is_data_error(self, capsys, method, fmt):
+        # the base value is finite, but level B, about 1.75 (npgm) or 2.9 (hpm) times it, is not
+        code, out, err = run(
+            capsys, "index", "--method", method, "--base-value", "1.5e308", "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: level 'B' is past the float range at base value 1.5e+308\n"
 
     def test_unknown_base_is_worded_alike_for_both_methods(self, capsys):
         for method in ("npgm", "hpm"):
@@ -271,6 +281,25 @@ class TestMonotonicityCommand:
         assert (code, out) == (3, "")
         assert err.startswith(error + "perturbation for observation '1")
         assert "overflows its price, got " in err and err.count("\n") == 1
+
+    def test_base_value_past_the_float_range_is_data_error(self, capsys):
+        # level B would be 1.75e306, but npgm scales the base value by B's
+        # geometric mean (about 1596) before dividing by A's, which overflows
+        code, out, err = run(
+            capsys, "monotonicity", "--base-value", "1e306", "--obs", "29", "--format", "json"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: level 'B' is past the float range at base value 1e+306\n"
+
+    def test_perturbed_level_past_the_float_range_is_data_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "monotonicity", "--base-value", "1e305", "--obs", "29",
+                "--multiplier", "1e300", "--format", "json",
+            )
+        assert (code, out) == (3, "")
+        assert err == "error: perturbation pushes level 'B' past the float range\n"
 
     def test_negative_seed_is_data_error(self, capsys):
         code, out, err = run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -57,11 +58,16 @@ def designs(draw):
             extras = {f"x{j}": float(rng.normal()) for j in range(n_extra)}
             if near_collinear:
                 extras["z"] = 2.0 * area + 1.0 + 1e-6 * area * float(rng.normal())
+            with np.errstate(over="ignore"):
+                price = float(np.exp(rng.normal(11.0 + 0.0004 * area, 0.6)))
+            # a large area can draw a price past the float range, or one whose
+            # x1000 grid step (the largest multiplier these tests use) overflows
+            assume(math.isfinite(1000.0 * price))
             records.append(
                 SaleObservation(
                     id=f"s{len(records)}",
                     period=periods[q],
-                    price=float(np.exp(rng.normal(11.0 + 0.0004 * area, 0.6))),
+                    price=price,
                     area=area,
                     aspect_ratio=float(rng.uniform(0.4, 1.6)),
                     extra_characteristics=extras,
@@ -288,6 +294,45 @@ class TestScreen:
         report = random_perturbation_audit(renoir, hpm_method(EXAMPLE_SPEC), 1000, 7)
         assert report.violations
         assert len(calls) == len({v.description for v in report.violations})
+
+
+def assert_violations_replay(ds, method, report):
+    """Each violation, replayed through :func:`check_monotonicity`, with the same levels bit for bit."""
+    for v in report.violations:
+        replayed = {c.period: c for c in check_monotonicity(ds, method, v.perturbation)}[v.period]
+        assert not replayed.compliant
+        assert (replayed.level_before.hex(), replayed.level_after.hex()) == (
+            v.level_before.hex(),
+            v.level_after.hex(),
+        )
+
+
+class TestReplay:
+    """Audit violations replay exactly: the audits and the replay share one judge."""
+
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1))
+    @HYPOTHESIS
+    def test_generated_violations_replay(self, design, seed):
+        ds, spec = design
+        for method in methods(ds, spec):
+            for grid in ([1.3, 2.5, 1000.0], NEAR_ONE):
+                assert_violations_replay(ds, method, search_violations(ds, method, grid))
+            report = random_perturbation_audit(ds, method, monotonicity._DRAW_BLOCK + 3, seed)
+            assert_violations_replay(ds, method, report)
+
+    def test_bundled_violations_replay(self, renoir):
+        reports = []
+        for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
+            reports += [
+                (method, search_violations(renoir, method)),
+                (method, search_violations(renoir, method, [1.0000000001, 2.0, 1000.0])),
+                (method, random_perturbation_audit(renoir, method, 1000, 7)),
+                (method, random_perturbation_audit(renoir, method, 65, 3)),
+            ]
+        for method, report in reports:
+            assert_violations_replay(renoir, method, report)
+        # the hpm audits (the last four) all find violations to replay
+        assert all(report.violations for _, report in reports[4:])
 
 
 class TestWeights:
