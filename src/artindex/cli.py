@@ -167,15 +167,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="comma-separated characteristics for the hedonic model",
     )
 
+    index_parent = argparse.ArgumentParser(add_help=False)
+    index_parent.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
+    index_parent.add_argument("--base", help="base period (default: first)")
+    index_parent.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
+
     p_index = sub.add_parser(
         "index",
-        parents=[data_parent, model_parent],
+        parents=[data_parent, model_parent, index_parent],
         help="compute a price index series",
     )
     p_index.set_defaults(run=_cmd_index)
-    p_index.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
-    p_index.add_argument("--base", help="base period (default: first)")
-    p_index.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
     p_index.add_argument("--format", choices=["table", "json", "plot"], default="table")
 
     p_fit = sub.add_parser(
@@ -189,13 +191,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_mono = sub.add_parser(
         "monotonicity",
-        parents=[data_parent, model_parent],
+        parents=[data_parent, model_parent, index_parent],
         help="audit an index method against the monotonicity requirement",
     )
     p_mono.set_defaults(run=_cmd_monotonicity)
-    p_mono.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
-    p_mono.add_argument("--base")
-    p_mono.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
     p_mono.add_argument("--mode", choices=["single", "grid", "random"], default="single")
     p_mono.add_argument("--obs", help="observation id (single mode)")
     p_mono.add_argument(
@@ -246,9 +245,8 @@ def _schema_from_args(args) -> InputSchema:
 
 
 def _load_dataset(args) -> tuple[Dataset, str]:
-    if args.data is None:
-        return load_csv(bundled_data_path()), "bundled"
-    return load_csv(Path(args.data), schema=_schema_from_args(args)), args.data
+    path = bundled_data_path() if args.data is None else Path(args.data)
+    return load_csv(path, schema=_schema_from_args(args)), args.data or "bundled"
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -305,7 +303,7 @@ def _cmd_index(args) -> int:
         }
         table = render_index_table(series) + "\n\n" + render_regression_table(result)
     if args.format == "plot":
-        _print(render_index_plot_data(series))
+        _print(render_index_plot_data(series.levels))
         return EXIT_OK
     _emit(Report(command="index", config=config, body=body), table, args.format)
     return EXIT_OK

@@ -267,9 +267,9 @@ def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Datas
 
 
 def with_price_scaled(ds: Dataset, obs_id: str, factor: float) -> Dataset:
-    """Return a copy of ``ds`` with one observation's price multiplied."""
-    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor > 0):
-        raise ValidationError(f"price multiplier must be positive and finite, got {factor!r}")
+    """Return a copy of ``ds`` with one observation's price multiplied by ``factor`` >= 1."""
+    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor >= 1):
+        raise ValidationError(f"price multiplier must be finite and at least 1, got {factor!r}")
     price = float(ds.price[ds.row(obs_id)])
     return with_price_increments(ds, {obs_id: price * (factor - 1.0)})
 

@@ -39,7 +39,6 @@ from .regression import (
     characteristic_column,
     dummy_column_name,
     fit,
-    solve_least_squares,
     solve_with_pseudo_inverse,
 )
 
@@ -165,12 +164,14 @@ def _hpm_series(
     column_names: Sequence[str], coef: np.ndarray, ds: Dataset, reference: str, base_value: float
 ) -> IndexSeries:
     coefficient = dict(zip(column_names, coef.tolist()))
-    levels = {
-        p: base_value
-        if p == reference
-        else base_value * math.exp(coefficient[dummy_column_name(p)])
-        for p in ds.periods
-    }
+    levels = dict.fromkeys(ds.periods, base_value)
+    for p in ds.periods:
+        if p != reference:
+            try:
+                levels[p] = base_value * math.exp(coefficient[dummy_column_name(p)])
+            except OverflowError:
+                # a dummy past log(float max): IndexSeries refuses the infinite level
+                levels[p] = math.inf
     return IndexSeries(method=HPM, base_period=reference, base_value=base_value, levels=levels)
 
 
@@ -190,12 +191,11 @@ def hpm_timedummy_index(
 ) -> IndexSeries:
     """Conventional hedonic time-dummy index: solve OLS, exponentiate the dummies.
 
-    Only the coefficients are computed, and they are the ones :func:`fit`
-    reports, bit for bit.
+    The levels are read off the coefficients of the evaluation that the
+    monotonicity auditors use, which are :func:`fit`'s bit for bit; no
+    standard errors or other statistics are computed.
     """
-    _require_base(ds, spec.reference_period, base_value)
-    sys = build_design(ds, spec)
-    return _hpm_series(sys.column_names, solve_least_squares(sys), ds, spec.reference_period, base_value)
+    return _hpm_evaluate(ds, spec, base_value)[0]
 
 
 def _hpm_evaluate(

@@ -11,9 +11,11 @@ than the reference period,
 never formed) and reports standard errors, t statistics, two-sided
 Student-t p-values, R^2, and the coefficient covariance. The triangular
 factor serves both the coefficients and the covariance, so a fit factors
-the design once. :func:`solve_least_squares` and :func:`solve_with_pseudo_inverse`
-use the same factorization for callers that need only the coefficients,
-or the coefficients and their sensitivity to the response.
+the design once. :func:`solve_with_pseudo_inverse` uses the same
+factorization to return the coefficients and X+, their sensitivity to
+the response; the hpm index and its monotonicity weights come from it.
+:func:`solve_least_squares` returns the coefficients alone, for library
+callers and the tests that check the solver against an OLS oracle.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class ModelSpec:
     regressors: tuple[str, ...] = ()
     pinned: tuple[tuple[str, float], ...] = ()
 
-    def all_characteristics(self) -> tuple[str, ...]:
-        return self.regressors + tuple(name for name, _ in self.pinned)
-
 
 @dataclass(frozen=True, eq=False)
 class DesignSystem:
@@ -135,7 +134,7 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
     Column order is intercept, then the free regressors in spec order,
     then one 0/1 dummy per non-reference period in dataset period order.
     """
-    names = list(spec.all_characteristics())
+    names = [*spec.regressors, *(name for name, _ in spec.pinned)]
     if len(set(names)) != len(names):
         raise ModelError(f"regressor names must be distinct, got {names}")
     if spec.reference_period not in ds.periods:

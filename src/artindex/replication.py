@@ -37,6 +37,7 @@ from .monotonicity import (
     search_violations,
 )
 from .regression import ModelSpec, RegressionResult, fit
+from .report import render_index_plot_data
 
 EXAMPLE_SPEC = ModelSpec(reference_period="A", regressors=("area", "aspect_ratio"))
 
@@ -308,7 +309,7 @@ def write_replication_outputs(outdir: str | Path) -> ReplicationSummary:
             lines.append(",".join([column, *(repr(float(v)) for v in values)]))
 
     for name, levels in levels_by_file.items():
-        files[name] = ["period,level"] + [f"{p},{v!r}" for p, v in levels.items()]
+        files[name] = render_index_plot_data(levels).splitlines()
     files["area_by_dataset.csv"] = ["dataset,area_cm2"] + [
         f"{period},{area:g}" for period, area in zip(periods, areas)
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .indexes import IndexSeries
 from .monotonicity import LevelComparison, MonotonicityReport
@@ -121,11 +122,9 @@ def render_index_table(series: IndexSeries) -> str:
     return "\n".join(lines)
 
 
-def render_index_plot_data(series: IndexSeries) -> str:
-    lines = ["period,level"]
-    for period, level in series.levels.items():
-        lines.append(f"{period},{level!r}")
-    return "\n".join(lines)
+def render_index_plot_data(levels: Mapping[str, float]) -> str:
+    """``period,level`` CSV text of index levels, each level written to round-trip exactly."""
+    return "\n".join(["period,level", *(f"{p},{v!r}" for p, v in levels.items())])
 
 
 def render_regression_table(result: RegressionResult) -> str:

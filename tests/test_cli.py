@@ -113,6 +113,32 @@ class TestIndexCommand:
         assert (code, out) == (3, "")
         assert err == "error: level 'B' is past the float range at base value 1.5e+308\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["index"], ["monotonicity", "--mode", "grid"]], ids=["index", "monotonicity-grid"]
+    )
+    def test_time_dummy_past_the_float_range_is_data_error(self, capsys, tmp_path, argv):
+        # B's prices are about 1e400 times A's, so the B dummy (about 921) overflows exp
+        path = tmp_path / "overflow.csv"
+        path.write_text(
+            "id,dataset,price_usd,area_cm2,hw_ratio\n"
+            "1,A,1e-200,10,1.0\n2,A,2e-200,20,1.1\n3,A,3e-200,33,0.9\n"
+            "4,B,1e200,12,1.0\n5,B,2e200,25,1.05\n6,B,3e200,30,0.95\n"
+        )
+        code, out, err = run(
+            capsys, *argv, "--method", "hpm", "--regressors", "area", "--data", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: level 'B' is past the float range at base value 100.0\n"
+
+    @pytest.mark.parametrize(
+        "text", ["id,dataset,price_usd,area_cm2,hw_ratio\n", ""], ids=["header-only", "zero-byte"]
+    )
+    def test_file_without_records_is_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "index", "--data", str(path))
+        assert (code, out, err) == (3, "", "error: empty dataset\n")
+
     def test_unknown_base_is_worded_alike_for_both_methods(self, capsys):
         for method in ("npgm", "hpm"):
             code, out, err = run(capsys, "index", "--method", method, "--base", "Z")
@@ -225,6 +251,27 @@ class TestMonotonicityCommand:
         assert code == 4
         assert Report.from_json(out).body["melser_statistic"] == pytest.approx(
             0.6344, abs=0.001
+        )
+
+    def test_multiplier_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "monotonicity", "--obs", "29", "--multiplier", "0.5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --multiplier must be >= 1\n")
+
+    def test_melser_needs_two_periods(self, capsys, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text(
+            "id,dataset,price_usd,area_cm2,hw_ratio\n"
+            "1,A,100,10,1.0\n2,A,200,20,1.1\n3,B,150,12,1.0\n"
+            "4,B,250,25,1.05\n5,C,300,30,0.95\n6,C,120,11,1.2\n"
+        )
+        code, out, err = run(
+            capsys, "monotonicity", "--obs", "1", "--melser", "area", "--data", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the association diagnostic needs exactly two periods "
+            "(base plus one), dataset has 3\n"
         )
 
     def test_zero_width_is_data_error(self, capsys, tmp_path):
@@ -350,6 +397,13 @@ class TestConfigFile:
         assert code == 2
         assert "config" in err
 
+    def test_config_that_is_not_an_object_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["method", "hpm"]))
+        code, out, err = run(capsys, "--config", str(cfg), "index")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: config file {cfg} must hold a JSON object\n")
+
     @staticmethod
     def config(tmp_path, **entries) -> str:
         path = tmp_path / "cfg.json"
@@ -461,6 +515,24 @@ class TestColumnarPath:
             for argv in commands:
                 code, out, err = run(capsys, *argv, *data)
                 assert code in (0, 4) and out and err == "", (argv, data, err)
+
+
+class TestInputMapping:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "--price-column", "nope"],
+            ["index", "--no-header"],
+            ["index", "--decimal-separator", "ab"],
+            ["fit", "--id-column", "dataset"],
+        ],
+        ids=["price-column", "no-header", "decimal-separator", "id-column"],
+    )
+    def test_mapping_applies_to_the_bundled_file(self, capsys, argv):
+        bundled = run(capsys, *argv)
+        named = run(capsys, *argv, "--data", str(artindex.bundled_data_path()))
+        assert bundled == named
+        assert bundled[:2] == (3, "") and bundled[2].startswith("error: ")
 
 
 class TestClosedStdout:

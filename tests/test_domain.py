@@ -183,6 +183,11 @@ class TestTransforms:
         assert scaled.by_id("28").price == renoir.by_id("28").price
         assert scaled.by_id("29").area == renoir.by_id("29").area
 
+    def test_price_scaling_refuses_a_multiplier_below_one(self, renoir):
+        with pytest.raises(ValidationError) as excinfo:
+            with_price_scaled(renoir, "29", 0.5)
+        assert str(excinfo.value) == "price multiplier must be finite and at least 1, got 0.5"
+
     def test_increment_unknown_id(self, renoir):
         with pytest.raises(ValidationError, match="unknown observation id 'nope'"):
             with_price_increments(renoir, {"nope": 1.0})
@@ -206,6 +211,10 @@ class TestTransforms:
     def test_relabel_collision(self, renoir):
         with pytest.raises(ValidationError, match="already present"):
             with_period_relabeled(renoir, "B", "A")
+
+    def test_relabel_absent_period(self, renoir):
+        with pytest.raises(ValidationError, match="period 'Q' not present in dataset"):
+            with_period_relabeled(renoir, "Q", "C")
 
     def test_restrict(self, renoir):
         only_b = restrict_to_periods(renoir, ["B"])

@@ -124,6 +124,10 @@ class TestHpmIndex:
         assert series.level("A") == 100.0
         assert series.level("B") == pytest.approx(100 * math.exp(1.068575), abs=0.5)
 
+    def test_unknown_period_level(self, renoir):
+        with pytest.raises(ModelError, match="period 'Q' not in index series"):
+            hpm_timedummy_index(renoir, EXAMPLE_SPEC).level("Q")
+
     def test_dataset_c_below_b(self, renoir, renoir_ac):
         i_ba = hpm_timedummy_index(renoir, EXAMPLE_SPEC).level("B")
         i_ca = hpm_timedummy_index(renoir_ac, EXAMPLE_SPEC).level("C")

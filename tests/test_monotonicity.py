@@ -221,6 +221,24 @@ class TestMelserDiagnostic:
         with pytest.raises(ModelError, match="'Q' not present"):
             melser_diagnostic(renoir, "area", "A", "Q")
 
+    def test_significance_needs_more_than_two_observations(self):
+        ds = validate_dataset(
+            [SaleObservation("1", "A", 100.0, 10.0, 1.0), SaleObservation("2", "B", 200.0, 20.0, 1.0)]
+        )
+        with pytest.raises(ModelError, match="more than two observations"):
+            melser_significance(ds, "area", "A", "B")
+
+    def test_significance_of_a_perfect_separation_errors(self):
+        # area is 10 in every A sale and 20 in every B sale: |r| = 1
+        ds = validate_dataset(
+            [
+                SaleObservation(str(i), "AB"[i // 2], 100.0 + i, 10.0 * (1 + i // 2), 1.0)
+                for i in range(4)
+            ]
+        )
+        with pytest.raises(ModelError, match="correlation magnitude 1"):
+            melser_significance(ds, "area", "A", "B")
+
     def test_significance_matches_two_sample_ttest(self, renoir):
         r, t, p = melser_significance(renoir, "area", "A", "B")
         areas_a = [o.area for o in renoir.observations if o.period == "A"]

@@ -208,6 +208,13 @@ class TestStatistics:
         assert result.p_values[j] == pytest.approx(0.02622, abs=0.0005)
         assert result.r_squared > 0.70
 
+    def test_unknown_coefficient_lists_the_columns(self, renoir):
+        with pytest.raises(ModelError) as excinfo:
+            fit(renoir, EXAMPLE_SPEC).coefficient("dummy_Q")
+        assert str(excinfo.value) == (
+            "no column 'dummy_Q' in fitted model; columns: intercept, area, aspect_ratio, dummy_B"
+        )
+
     def test_zero_residual_dof(self):
         # intercept, area and dummy_B: as many columns as sales
         ds = validate_dataset(
