@@ -153,10 +153,17 @@ def npgm_index(
     _require_base(ds, base_period, base_value)
     unit_price = ds.price / ds.area
     level = {p: _geometric_mean(unit_price[rows]) for p, rows in partition_by_period(ds).items()}
-    levels = {
-        p: base_value if p == base_period else base_value * level[p] / level[base_period]
-        for p in ds.periods
-    }
+    levels = dict.fromkeys(ds.periods, base_value)
+    for p in ds.periods:
+        if p != base_period:
+            scaled = base_value * level[p]
+            # the product can pass float max where the level itself fits:
+            # only then divide first, so that every other level keeps its bits
+            levels[p] = (
+                scaled / level[base_period]
+                if math.isfinite(scaled)
+                else base_value * (level[p] / level[base_period])
+            )
     return IndexSeries(method=NPGM, base_period=base_period, base_value=base_value, levels=levels)
 
 
@@ -167,11 +174,16 @@ def _hpm_series(
     levels = dict.fromkeys(ds.periods, base_value)
     for p in ds.periods:
         if p != reference:
+            delta = coefficient[dummy_column_name(p)]
             try:
-                levels[p] = base_value * math.exp(coefficient[dummy_column_name(p)])
+                levels[p] = base_value * math.exp(delta)
             except OverflowError:
-                # a dummy past log(float max): IndexSeries refuses the infinite level
-                levels[p] = math.inf
+                # a dummy past log(float max) may still give a finite level at a
+                # base value below 1; past that, IndexSeries refuses the infinite level
+                try:
+                    levels[p] = math.exp(delta + math.log(base_value))
+                except OverflowError:
+                    levels[p] = math.inf
     return IndexSeries(method=HPM, base_period=reference, base_value=base_value, levels=levels)
 
 

@@ -20,6 +20,9 @@ screen their perturbations in bulk and judge exactly only those flagged:
 one whose every raised period has W[q] @ x clearly above zero lowers no level.
 All three judge through one method, ``_Levels.judge``, so each violation
 an audit reports replays through :func:`check_monotonicity` bit for bit.
+The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
+draws, so the memory it holds for draws is bounded by that budget
+whatever the trial count; every block size yields the same draws.
 
 Perturbations target observations outside the base period: levels are
 anchored ratios to the base, so only non-base perturbations make the
@@ -46,9 +49,9 @@ RELATIVE_SLACK = 1e-12
 # 1.1, 1.2, ..., 3.0
 DEFAULT_MULTIPLIER_GRID = tuple(round(1.0 + 0.1 * i, 10) for i in range(1, 21))
 
-# trials drawn per generator call in the random audit, which bounds the
-# draws held in memory at 2 * _DRAW_BLOCK * (non-base observations)
-_DRAW_BLOCK = 64
+# draws per generator call in the random audit (8 MiB of float64): a block
+# holds as many trials as fit, two draws per non-base observation each
+_DRAW_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,20 @@ class _Levels:
         self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
 
     def flagged(
-        self, rows: np.ndarray, increments: np.ndarray, weights: np.ndarray, perturbed: np.ndarray | bool
+        self,
+        rows: np.ndarray,
+        raised: np.ndarray,
+        weights: np.ndarray,
+        abs_weights: np.ndarray,
+        perturbed: np.ndarray | bool,
     ) -> np.ndarray:
         """Flat positions, in batch order, of the perturbations :meth:`compare` must judge.
 
-        Each perturbation of the batch raises each sale ``rows[j]`` by
-        ``increments[..., j]`` and leaves the other sales unraised;
+        Each perturbation of the batch raises the price of each sale
+        ``rows[j]`` to ``raised[..., j]`` and leaves the other sales unraised;
         ``perturbed[..., c]`` says whether it raised a sale of the period q
-        whose weight W[q, rows[j]] is ``weights[..., j, c]``.
+        whose weight W[q, rows[j]] is ``weights[..., j, c]``, and
+        ``abs_weights`` is ``np.abs(weights)``.
         """
         # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare
         # sums s over all n sales in one matvec (unraised sales add exactly 0:
@@ -124,9 +133,9 @@ class _Levels:
         # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
         # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
         # falls; a non-finite s or margin fails that test and is flagged.
-        log_before, log_after = self._log_prices[rows], np.log(self._ds.price[rows] + increments)
+        log_before, log_after = self._log_prices[rows], np.log(raised)
         s = (log_after - log_before) @ weights
-        margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ np.abs(weights))
+        margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ abs_weights)
         return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
 
     def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
@@ -182,20 +191,22 @@ def violations_from(
     )
 
 
-def _check_raised(ds: Dataset, rows: np.ndarray, increments: np.ndarray, describe) -> None:
+def _check_raised(
+    ds: Dataset, rows: np.ndarray, increments: np.ndarray, raised: np.ndarray, describe
+) -> None:
     """Refuse the first price a batch raises past the float range, as :func:`check_increments` does.
 
-    Perturbation ``describe(*i)`` adds ``increments[i]`` to sale ``rows[i]`` (broadcast).
+    Perturbation ``describe(*i)`` adds ``increments[i]`` to sale ``rows[i]``
+    (broadcast), whose price becomes ``raised[i]``.
     """
-    with np.errstate(over="ignore"):
-        overflow = np.argwhere(~np.isfinite(ds.price[rows] + increments))
-    if len(overflow):
-        i = tuple(overflow[0])
-        obs_id = ds.ids[np.broadcast_to(rows, increments.shape)[i]]
-        try:
-            check_increments(ds, {obs_id: float(increments[i])})
-        except ValidationError as exc:
-            raise ValidationError(f"{describe(*i)}: {exc}") from None
+    if np.isfinite(raised).all():
+        return
+    i = tuple(np.argwhere(~np.isfinite(raised))[0])
+    obs_id = ds.ids[np.broadcast_to(rows, increments.shape)[i]]
+    try:
+        check_increments(ds, {obs_id: float(increments[i])})
+    except ValidationError as exc:
+        raise ValidationError(f"{describe(*i)}: {exc}") from None
 
 
 def check_monotonicity(
@@ -242,15 +253,16 @@ def search_violations(
     targets = levels.targets
     with np.errstate(over="ignore"):
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
+        raised = ds.price[targets, None] + increments
 
     def describe(t, g):
         return f"obs {ds.ids[targets[t]]} price x{grid[g]:g}"
 
-    _check_raised(ds, targets[:, None], increments, describe)
+    _check_raised(ds, targets[:, None], increments, raised, describe)
     # a single-sale perturbation can lower only its own period, by W[own, i] * x
     own = levels._weights[ds.period_codes[targets], targets][:, None, None]
     violations = []
-    flagged = levels.flagged(targets[:, None, None], increments[..., None], own, True)
+    flagged = levels.flagged(targets[:, None, None], raised[..., None], own, np.abs(own), True)
     for t, g in zip(*np.divmod(flagged, len(grid))):
         violations += levels.judge(describe(t, g), targets[t : t + 1], increments[t, g : g + 1])[1]
     return MonotonicityReport(
@@ -279,17 +291,23 @@ def random_perturbation_audit(
     targets = levels.targets
     prices = ds.price[targets]
     weights = levels._weights[:, targets].T
-    in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods)))
+    abs_weights = np.abs(weights)
+    # float, not bool: a float matmul runs on BLAS and counts raised sales exactly
+    in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods))).astype(np.float64)
+    step = max(1, _DRAW_BUDGET // (2 * len(targets)))
 
     violations = []
-    for start in range(0, trials, _DRAW_BLOCK):
+    for start in range(0, trials, step):
         # one draw per block yields the same stream as a coins draw and a
-        # magnitudes draw per trial
-        draws = rng.random((min(_DRAW_BLOCK, trials - start), 2, len(targets)))
-        block = np.where(draws[:, 0] < 0.5, 0.0, draws[:, 1] * prices)
-        _check_raised(ds, targets, block, lambda k, _: f"trial {start + k}")
-        perturbed = (block > 0) @ in_period
-        for offset in levels.flagged(targets, block, weights, perturbed).tolist():
+        # magnitudes draw per trial, whatever the block size
+        draws = rng.random((min(step, trials - start), 2, len(targets)))
+        block = draws[:, 1] * prices
+        block[draws[:, 0] < 0.5] = 0.0
+        with np.errstate(over="ignore"):
+            raised = prices + block
+        _check_raised(ds, targets, block, raised, lambda k, _: f"trial {start + k}")
+        perturbed = ((block > 0) @ in_period) > 0
+        for offset in levels.flagged(targets, raised, weights, abs_weights, perturbed).tolist():
             violations += levels.judge(f"trial {start + offset}", targets, block[offset])[1]
     return MonotonicityReport(
         method=levels.before.method, trials=trials, violations=tuple(violations)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import artindex
-from artindex import cli
+from artindex import cli, monotonicity, npgm_method
 from artindex.cli import main
 from artindex.replication import run_replication, write_replication_outputs
 from artindex.report import Report
@@ -113,10 +114,8 @@ class TestIndexCommand:
         assert (code, out) == (3, "")
         assert err == "error: level 'B' is past the float range at base value 1.5e+308\n"
 
-    @pytest.mark.parametrize(
-        "argv", [["index"], ["monotonicity", "--mode", "grid"]], ids=["index", "monotonicity-grid"]
-    )
-    def test_time_dummy_past_the_float_range_is_data_error(self, capsys, tmp_path, argv):
+    @staticmethod
+    def write_dummy_overflow(tmp_path):
         # B's prices are about 1e400 times A's, so the B dummy (about 921) overflows exp
         path = tmp_path / "overflow.csv"
         path.write_text(
@@ -124,11 +123,34 @@ class TestIndexCommand:
             "1,A,1e-200,10,1.0\n2,A,2e-200,20,1.1\n3,A,3e-200,33,0.9\n"
             "4,B,1e200,12,1.0\n5,B,2e200,25,1.05\n6,B,3e200,30,0.95\n"
         )
+        return path
+
+    @pytest.mark.parametrize(
+        "argv", [["index"], ["monotonicity", "--mode", "grid"]], ids=["index", "monotonicity-grid"]
+    )
+    def test_time_dummy_past_the_float_range_is_data_error(self, capsys, tmp_path, argv):
+        path = self.write_dummy_overflow(tmp_path)
         code, out, err = run(
             capsys, *argv, "--method", "hpm", "--regressors", "area", "--data", str(path)
         )
         assert (code, out) == (3, "")
         assert err == "error: level 'B' is past the float range at base value 100.0\n"
+
+    def test_time_dummy_past_the_float_range_at_a_small_base_value(self, capsys, tmp_path):
+        # exp(921) overflows, but 1e-300 * exp(921), about 9e99, fits, as npgm's level does
+        path = self.write_dummy_overflow(tmp_path)
+        bodies = {}
+        for method in ("hpm", "npgm"):
+            code, out, err = run(
+                capsys, "index", "--method", method, "--regressors", "area", "--base-value", "1e-300",
+                "--data", str(path), "--format", "json",
+            )
+            assert (code, err) == (0, "")
+            bodies[method] = Report.from_json(out).body
+        levels = {method: body["index"]["levels"]["B"] for method, body in bodies.items()}
+        delta = {t["name"]: t["coefficient"] for t in bodies["hpm"]["regression"]["terms"]}["dummy_B"]
+        assert levels["hpm"] == math.exp(delta + math.log(1e-300))
+        assert levels["hpm"] == pytest.approx(levels["npgm"], rel=0.1)
 
     @pytest.mark.parametrize(
         "text", ["id,dataset,price_usd,area_cm2,hw_ratio\n", ""], ids=["header-only", "zero-byte"]
@@ -329,14 +351,17 @@ class TestMonotonicityCommand:
         assert err.startswith(error + "perturbation for observation '1")
         assert "overflows its price, got " in err and err.count("\n") == 1
 
-    def test_base_value_past_the_float_range_is_data_error(self, capsys):
-        # level B would be 1.75e306, but npgm scales the base value by B's
-        # geometric mean (about 1596) before dividing by A's, which overflows
-        code, out, err = run(
-            capsys, "monotonicity", "--base-value", "1e306", "--obs", "29", "--format", "json"
-        )
-        assert (code, out) == (3, "")
-        assert err == "error: level 'B' is past the float range at base value 1e+306\n"
+    def test_base_value_near_the_float_range_gives_the_level(self, capsys):
+        # level B is 1.75e306, although the base value times B's geometric
+        # mean (about 1596) is past the float range
+        _, out, _ = run(capsys, "index", "--format", "json")
+        ratio = Report.from_json(out).body["index"]["levels"]["B"] / 100.0
+        for argv in (["index"], ["monotonicity", "--obs", "29"]):
+            code, out, err = run(capsys, *argv, "--base-value", "1e306", "--format", "json")
+            assert (code, err) == (0, "")
+            body = Report.from_json(out).body
+            level = body["index"]["levels"]["B"] if argv == ["index"] else body["comparisons"][0]["level_before"]
+            assert level == pytest.approx(1e306 * ratio, rel=1e-14)
 
     def test_perturbed_level_past_the_float_range_is_data_error(self, capsys):
         with warnings.catch_warnings():
@@ -357,6 +382,29 @@ class TestMonotonicityCommand:
 
 
 class TestDeterminism:
+    def test_random_audit_bytes_do_not_depend_on_the_draw_budget(self, capsys, renoir):
+        # a budget of 2 * 64 * (non-base sales) draws 64 trials a block;
+        # the default draws every trial here in one block
+        targets = monotonicity._Levels(renoir, npgm_method("A")).targets
+        outputs = {}
+        for budget in (monotonicity._DRAW_BUDGET, 2 * 64 * len(targets)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(monotonicity, "_DRAW_BUDGET", budget)
+                outputs[budget] = [
+                    run(
+                        capsys, "monotonicity", "--mode", "random", "--method", method,
+                        "--trials", str(trials), "--seed", str(seed), "--format", "json",
+                    )
+                    for method in ("hpm", "npgm")
+                    for trials in (1, 63, 64, 65, 1000)
+                    for seed in (1, 7)
+                ]
+        default, blocked = outputs.values()
+        assert default == blocked
+        # hpm finds violations (exit 4) at 1,000 trials of either seed; npgm none
+        codes = [code for code, _, _ in default]
+        assert codes[8:10] == [4, 4] and codes[10:] == [0] * 10
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,18 @@ def assert_same_report(got, want):
 
 HYPOTHESIS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 
+# trials per block of random draws in the tests that cross block boundaries
+STEP = 64
+
+
+@contextmanager
+def draw_step(ds, method, step):
+    """Make the random audit of ``ds`` draw ``step`` trials a block."""
+    targets = monotonicity._Levels(ds, method).targets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monotonicity, "_DRAW_BUDGET", 2 * step * len(targets))
+        yield
+
 
 class TestParityWithRefit:
     @given(design=designs(), data=st.data())
@@ -144,18 +157,18 @@ class TestParityWithRefit:
     @HYPOTHESIS
     def test_random_matches_refit(self, design, seed):
         ds, spec = design
-        trials = monotonicity._DRAW_BLOCK + 3
+        trials = STEP + 3
         for method in methods(ds, spec):
-            assert_same_report(
-                random_perturbation_audit(ds, method, trials, seed),
-                refit_random(ds, method, trials, seed),
-            )
+            with draw_step(ds, method, STEP):
+                report = random_perturbation_audit(ds, method, trials, seed)
+            assert_same_report(report, refit_random(ds, method, trials, seed))
 
     def test_bundled_random_audit_matches_refit(self, renoir):
         # several blocks of draws, with violations to compare draw for draw
-        trials = 3 * monotonicity._DRAW_BLOCK + 7
+        trials = 3 * STEP + 7
         method = hpm_method(EXAMPLE_SPEC)
-        report = random_perturbation_audit(renoir, method, trials, 7)
+        with draw_step(renoir, method, STEP):
+            report = random_perturbation_audit(renoir, method, trials, 7)
         assert report.violations
         assert_same_report(report, refit_random(renoir, method, trials, 7))
 
@@ -245,12 +258,11 @@ class TestScreen:
     @HYPOTHESIS
     def test_random_equals_judging_every_perturbation(self, design, seed):
         ds, spec = design
-        trials = monotonicity._DRAW_BLOCK + 3
+        trials = STEP + 3
         for method in (*methods(ds, spec), hpm_method(pinned_log_area_spec(spec.reference_period))):
-            assert_identical_reports(
-                random_perturbation_audit(ds, method, trials, seed),
-                judge_every_random_perturbation(ds, method, trials, seed),
-            )
+            with draw_step(ds, method, STEP):
+                report = random_perturbation_audit(ds, method, trials, seed)
+            assert_identical_reports(report, judge_every_random_perturbation(ds, method, trials, seed))
 
     def test_steps_below_the_rounding_margin_are_all_judged(self, renoir, monkeypatch):
         # log(p * (1 + 2**-48)) - log p is a few ulps of log p: positive,
@@ -317,7 +329,8 @@ class TestReplay:
         for method in methods(ds, spec):
             for grid in ([1.3, 2.5, 1000.0], NEAR_ONE):
                 assert_violations_replay(ds, method, search_violations(ds, method, grid))
-            report = random_perturbation_audit(ds, method, monotonicity._DRAW_BLOCK + 3, seed)
+            with draw_step(ds, method, STEP):
+                report = random_perturbation_audit(ds, method, STEP + 3, seed)
             assert_violations_replay(ds, method, report)
 
     def test_bundled_violations_replay(self, renoir):
@@ -408,12 +421,34 @@ class TestCost:
         counts.append(len(calls))
         assert counts == [1, 1, 1, 1]
 
-    @pytest.mark.parametrize("block", [1, 5, 10_000])
-    def test_draw_block_does_not_change_the_audit(self, renoir, monkeypatch, block):
+    @pytest.mark.parametrize("step", [1, 5, 10_000])
+    def test_draw_block_does_not_change_the_audit(self, renoir, step):
         method = hpm_method(EXAMPLE_SPEC)
         default = random_perturbation_audit(renoir, method, 150, 3)
-        monkeypatch.setattr(monotonicity, "_DRAW_BLOCK", block)
-        assert random_perturbation_audit(renoir, method, 150, 3) == default
+        assert default.violations
+        with draw_step(renoir, method, step):
+            assert random_perturbation_audit(renoir, method, 150, 3) == default
+
+    def test_draw_blocks_hold_at_most_the_budget(self, renoir, monkeypatch):
+        blocks = []
+        check_raised = monotonicity._check_raised
+
+        def recording_check_raised(ds, rows, increments, *args):
+            blocks.append(increments.shape)
+            return check_raised(ds, rows, increments, *args)
+
+        monkeypatch.setattr(monotonicity, "_check_raised", recording_check_raised)
+        method = hpm_method(EXAMPLE_SPEC)
+        random_perturbation_audit(renoir, method, 1000, 7)
+        assert blocks == [(1000, 15)]
+        blocks.clear()
+        with draw_step(renoir, method, STEP):
+            random_perturbation_audit(renoir, method, 3 * STEP + 7, 7)
+        assert blocks == [(STEP, 15)] * 3 + [(7, 15)]
+        blocks.clear()
+        monkeypatch.setattr(monotonicity, "_DRAW_BUDGET", 2 * 15 * 7 - 1)
+        random_perturbation_audit(renoir, method, 20, 7)
+        assert blocks == [(6, 15)] * 3 + [(2, 15)]
 
 
 class TestRankDeficiency:

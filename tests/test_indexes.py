@@ -103,6 +103,13 @@ class TestNpgmIndex:
                 hundred.level(period) / 100.0, rel=1e-12
             )
 
+    def test_level_in_range_scales_before_dividing(self, renoir):
+        # only a product past the float range divides first; in about a third
+        # of these base values the two orders round differently
+        a, b = (npgm_level([o for o in renoir.observations if o.period == p]) for p in "AB")
+        for base_value in np.random.default_rng(0).uniform(1.0, 1000.0, 200).tolist():
+            assert npgm_index(renoir, "A", base_value).level("B") == base_value * b / a
+
     def test_missing_base_period(self, renoir):
         with pytest.raises(ModelError, match="base period 'Q'"):
             npgm_index(renoir, "Q")
