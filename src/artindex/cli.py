@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .csvio import InputSchema, bundled_data_path, load_csv
 from .domain import Dataset
@@ -266,8 +266,9 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(report: Report, table_text: str, fmt: str) -> None:
-    _print(report.to_json() if fmt == "json" else table_text)
+def _emit(report: Report, table: Callable[[], str], fmt: str) -> None:
+    """Print the report as JSON, or the text ``table()`` builds for ``--format table``."""
+    _print(report.to_json() if fmt == "json" else table())
 
 
 def _load_with_base(args) -> tuple[Dataset, str, dict]:
@@ -290,7 +291,7 @@ def _cmd_index(args) -> int:
     if args.method == NPGM:
         series = npgm_index(ds, base, args.base_value)
         body = {"index": index_series_dict(series)}
-        table = render_index_table(series)
+        table = lambda: render_index_table(series)
     else:
         spec = _model_spec(args, base)
         # the base checks come first, so both methods word a bad base alike
@@ -301,7 +302,7 @@ def _cmd_index(args) -> int:
             "index": index_series_dict(series),
             "regression": regression_result_dict(result),
         }
-        table = render_index_table(series) + "\n\n" + render_regression_table(result)
+        table = lambda: render_index_table(series) + "\n\n" + render_regression_table(result)
     if args.format == "plot":
         _print(render_index_plot_data(series.levels))
         return EXIT_OK
@@ -321,7 +322,7 @@ def _cmd_fit(args) -> int:
         "format": args.format,
     }
     report = Report(command="fit", config=config, body={"regression": regression_result_dict(result)})
-    _emit(report, render_regression_table(result), args.format)
+    _emit(report, lambda: render_regression_table(result), args.format)
     return EXIT_OK
 
 
@@ -378,7 +379,7 @@ def _cmd_monotonicity(args) -> int:
 
     body = monotonicity_report_dict(mono, comparisons)
     report = Report(command="monotonicity", config=config, body=body)
-    _emit(report, render_monotonicity_table(body), args.format)
+    _emit(report, lambda: render_monotonicity_table(body), args.format)
     return EXIT_OK if mono.compliant else EXIT_VIOLATION
 
 
@@ -391,7 +392,7 @@ def _cmd_reproduce(args) -> int:
     }
     config = {"outdir": str(args.outdir), "format": args.format}
     report = Report(command="reproduce", config=config, body=body)
-    _emit(report, "\n".join(summary.lines()), args.format)
+    _emit(report, lambda: "\n".join(summary.lines()), args.format)
     return EXIT_OK if summary.passed else EXIT_DATA
 
 

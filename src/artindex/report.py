@@ -1,15 +1,22 @@
 """Report container and serialization for the command-line surface.
 
 Reports hold plain JSON-ready data so that serializing and re-parsing
-reproduces an equal report, byte for byte given equal inputs. Floats go
-through ``json`` unchanged, which serializes the shortest representation
-that round-trips exactly (up to 17 significant digits).
+reproduces an equal report, byte for byte given equal inputs. The text
+is exactly ``json.dumps(payload, indent=2)``: floats are written as
+their shortest representation that round-trips exactly (up to 17
+significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
+finite. Before Python 3.13 an ``indent`` sends ``json.dumps`` to its
+pure-Python encoder, so ``Report.to_json`` writes the same bytes with
+``_indented_json`` there; from 3.13 the stdlib's C encoder indents and
+is used as is.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping
 
 from .indexes import IndexSeries
@@ -27,14 +34,13 @@ class Report:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _dumps(
             {
                 "command": self.command,
                 "config": self.config,
                 "body": self.body,
                 "warnings": self.warnings,
-            },
-            indent=2,
+            }
         )
 
     @classmethod
@@ -46,6 +52,94 @@ class Report:
             body=payload["body"],
             warnings=payload["warnings"],
         )
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _finite_floats(items, separator: str) -> str | None:
+    """The items' texts joined by ``separator`` if every item is a finite float, else None."""
+    try:
+        text = separator.join(map(float.__repr__, items))
+    except TypeError:  # an item is not a float
+        return None
+    # a finite float's text holds no "n"; "nan" and "inf" do
+    return None if "n" in text else text
+
+
+def _write(o, indent: str, out: list[str]) -> None:
+    """Append the text of ``o``, whose own line starts with ``indent`` (a newline and spaces)."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        text = _finite_floats(o, "," + inner)
+        if text is not None:
+            out.append("[" + inner + text + indent + "]")
+            return
+        out.append("[")
+        separator = inner
+        for value in o:
+            out.append(separator)
+            separator = "," + inner
+            _write(value, inner, out)
+        out.append(indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{")
+        separator = inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(separator + _escape(key) + ": ")
+            separator = "," + inner
+            _write(value, inner, out)
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _indented_json(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, for a tree (no cycle check) with ``str`` keys."""
+    out: list[str] = []
+    _write(payload, "\n", out)
+    return "".join(out)
+
+
+def _stdlib_indented_json(payload) -> str:
+    return json.dumps(payload, indent=2)
+
+
+# 3.13's C encoder indents and is faster than _indented_json; before 3.13 an
+# indent makes json.dumps use its pure-Python encoder. _indented_json can go
+# once requires-python reaches 3.13.
+_dumps = _stdlib_indented_json if sys.version_info >= (3, 13) else _indented_json
 
 
 def index_series_dict(series: IndexSeries) -> dict:

@@ -425,6 +425,49 @@ class TestDeterminism:
         assert json.loads(json.dumps(level)) == level
 
 
+class TestJsonLayout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("index", "--method", "npgm"),
+            ("index", "--method", "hpm"),
+            ("fit",),
+            *(
+                ("monotonicity", "--method", method, *mode)
+                for method in ("npgm", "hpm")
+                for mode in (
+                    ("--mode", "single", "--obs", "29"),
+                    ("--mode", "grid"),
+                    ("--mode", "random", "--trials", "200", "--seed", "7"),
+                )
+            ),
+            ("reproduce",),
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a not in ("--method", "--mode")),
+    )
+    def test_json_reports_are_laid_out_as_json_dumps(self, capsys, tmp_path, argv):
+        if argv[0] == "reproduce":
+            argv = (*argv, "--outdir", str(tmp_path))
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_run_renders_no_table(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was rendered for a JSON report")
+
+        for name in ("render_index_table", "render_regression_table", "render_monotonicity_table"):
+            monkeypatch.setattr(cli, name, refuse)
+        for argv in (
+            ("index", "--method", "npgm"),
+            ("index", "--method", "hpm"),
+            ("fit",),
+            ("monotonicity", "--method", "hpm", "--mode", "grid"),
+        ):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code in (0, 4)
+            assert Report.from_json(out).command == argv[0]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
