@@ -5,16 +5,14 @@ reproduces an equal report, byte for byte given equal inputs. The text
 is exactly ``json.dumps(payload, indent=2)``: floats are written as
 their shortest representation that round-trips exactly (up to 17
 significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
-finite. Before Python 3.13 an ``indent`` sends ``json.dumps`` to its
-pure-Python encoder, so ``Report.to_json`` writes the same bytes with
-``_indented_json`` there; from 3.13 the stdlib's C encoder indents and
-is used as is.
+finite. ``Report.to_json`` writes it with ``_indented_json`` rather than
+``json.dumps``, because an ``indent`` sends ``json.dumps`` to its
+pure-Python generator encoder before Python 3.13.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping
@@ -34,7 +32,7 @@ class Report:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return _dumps(
+        return _indented_json(
             {
                 "command": self.command,
                 "config": self.config,
@@ -77,6 +75,21 @@ def _finite_floats(items, separator: str) -> str | None:
     return None if "n" in text else text
 
 
+def _key_text(key) -> str:
+    """The text json gives a non-``str`` dict key, in json's order of checks."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _write(o, indent: str, out: list[str]) -> None:
     """Append the text of ``o``, whose own line starts with ``indent`` (a newline and spaces)."""
     if isinstance(o, str):
@@ -116,7 +129,7 @@ def _write(o, indent: str, out: list[str]) -> None:
         separator = inner
         for key, value in o.items():
             if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+                key = _key_text(key)
             out.append(separator + _escape(key) + ": ")
             separator = "," + inner
             _write(value, inner, out)
@@ -126,20 +139,10 @@ def _write(o, indent: str, out: list[str]) -> None:
 
 
 def _indented_json(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, for a tree (no cycle check) with ``str`` keys."""
+    """``json.dumps(payload, indent=2)``, byte for byte, for a tree (no cycle check)."""
     out: list[str] = []
     _write(payload, "\n", out)
     return "".join(out)
-
-
-def _stdlib_indented_json(payload) -> str:
-    return json.dumps(payload, indent=2)
-
-
-# 3.13's C encoder indents and is faster than _indented_json; before 3.13 an
-# indent makes json.dumps use its pure-Python encoder. _indented_json can go
-# once requires-python reaches 3.13.
-_dumps = _stdlib_indented_json if sys.version_info >= (3, 13) else _indented_json
 
 
 def index_series_dict(series: IndexSeries) -> dict:

@@ -37,16 +37,18 @@ scalars = st.one_of(
     floats,
     texts,
 )
+# json writes int, float, bool and None keys as strings; a report may hold them too
+keys = st.one_of(texts, st.integers(), st.sampled_from(SPECIAL_FLOATS), st.floats(), st.booleans(), st.none())
 trees = st.recursive(
     st.one_of(scalars, float_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(texts, children, max_size=5),
+        st.dictionaries(keys, children, max_size=5),
     ),
     max_leaves=20,
 )
-objects = st.dictionaries(texts, trees, max_size=3)
+objects = st.dictionaries(keys, trees, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,7 +59,6 @@ def test_to_json_matches_stdlib(command, config, body, warnings):
     assert report.to_json() == json.dumps(payload, indent=2)
 
 
-# to_json calls the stdlib from Python 3.13 on, so the writer is checked on its own too
 @settings(max_examples=150, deadline=None)
 @given(tree=trees)
 def test_writer_matches_stdlib(tree):
@@ -80,6 +81,9 @@ def test_writer_matches_stdlib(tree):
         [[1.0, 2.0], [3.0, 4.0]],
         2**64,
         '"\\\x00é😀',
+        {1: "a", -(2**70): "b", 1.5: "c", float("nan"): "d", float("-inf"): "e", -0.0: "f"},
+        {True: 1, False: 2, None: 3, np.float64(0.1): 4},
+        {1: "int", "1": "str"},
     ],
 )
 def test_edge_trees_match_stdlib(tree):
@@ -94,7 +98,9 @@ def test_unsupported_value_is_type_error(value):
         _indented_json({"a": [value]})
 
 
-@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
-def test_non_string_key_is_type_error(key):
-    with pytest.raises(TypeError, match="keys must be str"):
+@pytest.mark.parametrize("key", [("a",), b"a", np.bool_(True), np.int64(7), object()])
+def test_unsupported_key_is_type_error(key):
+    with pytest.raises(TypeError):
+        json.dumps({"a": {key: 1}}, indent=2)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
         _indented_json({"a": {key: 1}})
