@@ -119,7 +119,9 @@ def _geometric_mean(values: np.ndarray) -> float:
 
 
 def two_period_rows(ds: Dataset, period0: str, period1: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``period0`` and of ``period1``, refusing a period the dataset lacks."""
+    """The rows of ``period0`` and of ``period1``, refusing equal periods or one the dataset lacks."""
+    if period0 == period1:
+        raise ModelError(f"the two periods must differ, got {period0!r} twice")
     parts = partition_by_period(ds)
     for label in (period0, period1):
         if label not in parts:
@@ -292,10 +294,10 @@ def decompose_index(
     theta against the exponentiated time dummy.
     """
     sub = restrict_to_periods(ds, [period0, period1])
+    rows0, rows1 = two_period_rows(sub, period0, period1)
     two_spec = replace(spec, reference_period=period0)
     result = fit(sub, two_spec)
 
-    rows0, rows1 = two_period_rows(sub, period0, period1)
     geomean_ratio = _geometric_mean(sub.price[rows1]) / _geometric_mean(sub.price[rows0])
     theta = theta_factor(result, sub, period0, period1, two_spec)
     exp_delta = math.exp(result.coefficient(dummy_column_name(period1)))

@@ -6,13 +6,17 @@ than the reference period,
 
     ln(price) = intercept + sum_k beta_k * z_k + sum_q delta_q * dummy_q + e
 
-:func:`fit` solves it by one Householder QR of the design matrix (LAPACK
-``dgeqrf`` through ``numpy.linalg.qr``; the normal-equations matrix is
-never formed) and reports standard errors, t statistics, two-sided
-Student-t p-values, R^2, and the coefficient covariance. The triangular
-factor serves both the coefficients and the covariance, so a fit factors
-the design once. :func:`solve_with_pseudo_inverse` uses the same
-factorization to return the coefficients and X+, their sensitivity to
+:func:`fit` solves it by one Householder QR of the design matrix with
+the response as a last column, [X | y] (LAPACK ``dgeqrf`` through
+``numpy.linalg.qr``; the normal-equations matrix is never formed). The
+leading k x k block of that triangular factor is R of X and its last
+column is Q^T y, so a fit asks LAPACK for R alone and forms no Q
+(Golub & Van Loan, *Matrix Computations*, sec. 5.3). The fit reports
+standard errors, t statistics, two-sided Student-t p-values, R^2, and
+the coefficient covariance; R serves both the coefficients and the
+covariance, so a fit factors once. :func:`solve_with_pseudo_inverse`
+runs the same factorization and also forms Q, to return the
+coefficients (bitwise those of :func:`fit`) and X+, their sensitivity to
 the response; the hpm index and its monotonicity weights come from it.
 :func:`solve_least_squares` returns the coefficients alone, for library
 callers and the tests that check the solver against an OLS oracle.
@@ -154,7 +158,14 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
 
     y = _log(ds.price)
     for name, coef in spec.pinned:
-        y = y - coef * characteristic_column(ds, name)
+        if not math.isfinite(coef):
+            raise ModelError(f"pinned coefficient of {name!r} must be finite, got {coef!r}")
+        with np.errstate(over="ignore"):
+            y = y - coef * characteristic_column(ds, name)
+        if not np.isfinite(y).all():
+            raise ModelError(
+                f"pinned coefficient {coef!r} of {name!r} takes the response past the float range"
+            )
     x = np.column_stack(
         [
             np.ones(len(ds)),
@@ -167,47 +178,61 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignSystem:
     return DesignSystem(design_matrix=x, response_vector=y, column_names=tuple(column_names))
 
 
-def _factor(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Q and R of the reduced QR of X, after checking |diag R| for rank."""
-    x = np.ascontiguousarray(sys.design_matrix, dtype=np.float64)
+def _factor(sys: DesignSystem, with_q: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """R, Q^T y and Q of one Householder QR of [X | y], after checking |diag R| for rank.
+
+    R is the leading k x k block of the factor of [X | y] and Q^T y its
+    last column. Q (its first k columns) is formed only ``with_q``;
+    otherwise LAPACK computes R alone and Q is None.
+    """
+    x = sys.design_matrix
     n, k = x.shape
     if k == 0:
         raise ModelError("design matrix has no columns")
     if n < k:
         raise ModelError(f"underdetermined system: {n} observations for {k} columns")
-    q, r = np.linalg.qr(x)
+    augmented = np.column_stack([x, sys.response_vector])
+    if with_q:
+        q, r_aug = np.linalg.qr(augmented, mode="reduced")
+        q = q[:, :k]
+    else:
+        q, r_aug = None, np.linalg.qr(augmented, mode="r")
+    # column j of R depends on columns 0..j alone, so in exact arithmetic
+    # the y column leaves R, and the rank check on its diagonal, as for X
+    r = r_aug[:k, :k]
     diag = np.abs(np.diag(r))
     largest = diag.max()
     smallest_idx = int(diag.argmin())
     if largest == 0.0 or diag[smallest_idx] < RANK_RTOL * largest:
         ratio = diag[smallest_idx] / largest if largest > 0 else 0.0
         raise RankDeficientError(sys.column_names[smallest_idx], float(ratio))
-    return q, r
+    return r, r_aug[:k, k], q
 
 
-def _solve(sys: DesignSystem, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    y = np.ascontiguousarray(sys.response_vector, dtype=np.float64)
+def _solve(r: np.ndarray, qty: np.ndarray) -> np.ndarray:
     # R is upper triangular with a nonzero diagonal, so LU factors it
     # without row swaps and the solve is a plain back-substitution
-    coef = np.linalg.solve(r, q.T @ y)
+    coef = np.linalg.solve(r, qty)
     coef.setflags(write=False)
     return coef
 
 
 def solve_least_squares(sys: DesignSystem) -> np.ndarray:
     """Least-squares coefficients via Householder QR."""
-    return _solve(sys, *_factor(sys))
+    r, qty, _ = _factor(sys)
+    return _solve(r, qty)
 
 
 def solve_with_pseudo_inverse(sys: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients and X+ = R^-1 Q^T (columns x observations), from one factorization.
 
-    The coefficients are bitwise those of :func:`fit`. Row j of X+ holds
-    d coef_j / d y_i, so for a time-dummy column it is the sensitivity of
-    that log index level to every log price.
+    The coefficients are bitwise those of :func:`fit`: LAPACK computes the
+    same R and Q^T y whether or not it goes on to form Q. Row j of X+
+    holds d coef_j / d y_i, so for a time-dummy column it is the
+    sensitivity of that log index level to every log price.
     """
-    q, r = _factor(sys)
-    return _solve(sys, q, r), np.linalg.solve(r, q.T)
+    r, qty, q = _factor(sys, with_q=True)
+    return _solve(r, qty), np.linalg.solve(r, q.T)
 
 
 def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> RegressionResult:
@@ -258,8 +283,8 @@ def _statistics(sys: DesignSystem, coef: np.ndarray, r: np.ndarray) -> Regressio
 def fit(ds: Dataset, spec: ModelSpec) -> RegressionResult:
     """Build the design for ``spec``, solve it, and compute statistics."""
     sys = build_design(ds, spec)
-    q, r = _factor(sys)
-    return _statistics(sys, _solve(sys, q, r), r)
+    r, qty, _ = _factor(sys)
+    return _statistics(sys, _solve(r, qty), r)
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:

@@ -566,14 +566,37 @@ class TestConfigFile:
         assert built > 0 and len(calls) == built
 
 
-def _generated_csv(path: Path) -> Path:
-    """A file from the benchmark's seeded generator: 120 sales, 4 periods, area rising."""
+def _generated_csv(path: Path, n_sales: int = 120, n_periods: int = 4, area_trend: float = 1.0) -> Path:
+    """A file from the benchmark's seeded generator (default: 120 sales, 4 periods, area rising)."""
     spec = importlib.util.spec_from_file_location(
         "gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
     )
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.write_csv(path, seed=1, n_sales=120, n_periods=4, area_trend=1.0)
+    return gen.write_csv(path, seed=1, n_sales=n_sales, n_periods=n_periods, area_trend=area_trend)
+
+
+class TestHpmLevelsAgree:
+    """``index --method hpm`` (through ``fit``) and the hpm audit (through X+)
+    read the same R and Q^T y, so their levels agree bit for bit."""
+
+    @pytest.mark.parametrize("generated", [False, True])
+    def test_index_levels_are_the_audit_levels_before(self, capsys, tmp_path, generated):
+        data, obs = [], "29"
+        if generated:
+            path = _generated_csv(tmp_path / "gen.csv", n_sales=3000, n_periods=12, area_trend=0.05)
+            data = ["--data", str(path), "--extra-columns", "age_years",
+                    "--regressors", "area,aspect_ratio,age_years"]
+            obs = "3000"
+        code, out, _ = run(capsys, "index", "--method", "hpm", "--format", "json", *data)
+        assert code == 0
+        levels = json.loads(out)["body"]["index"]["levels"]
+        code, out, _ = run(capsys, "monotonicity", "--method", "hpm", "--obs", obs,
+                           "--format", "json", *data)
+        assert code in (0, 4)
+        before = {c["period"]: c["level_before"] for c in json.loads(out)["body"]["comparisons"]}
+        assert len(levels) == (12 if generated else 2) and len(before) == len(levels) - 1
+        assert before == {p: level for p, level in levels.items() if p in before}
 
 
 class TestColumnarPath:

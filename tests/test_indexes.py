@@ -22,7 +22,7 @@ from artindex import (
     validate_dataset,
     with_price_increments,
 )
-from artindex import kernels
+from artindex import indexes, kernels
 from artindex.regression import fit
 
 from conftest import EXAMPLE_SPEC, TABLE1
@@ -261,6 +261,14 @@ class TestThetaAndDecomposition:
         result = fit(renoir, EXAMPLE_SPEC)
         with pytest.raises(ModelError, match="'Q' not present"):
             theta_factor(result, renoir, "A", "Q", EXAMPLE_SPEC)
+
+    def test_equal_periods_are_refused_before_the_refit(self, renoir, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decompose_index refitted")
+
+        monkeypatch.setattr(indexes, "fit", refuse)
+        with pytest.raises(ModelError, match="periods must differ"):
+            decompose_index(renoir, EXAMPLE_SPEC, "A", "A")
 
     def test_identity_on_bundled_fits(self, renoir, renoir_ac):
         for ds, p1 in ((renoir, "B"), (renoir_ac, "C")):

@@ -3,22 +3,26 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from artindex import (
     ModelSpec,
     RankDeficientError,
+    SaleObservation,
+    build_design,
     fit,
     kernels,
     solve_least_squares,
     validate_dataset,
 )
-from artindex.regression import DesignSystem
+from artindex.regression import RANK_RTOL, DesignSystem
 
 from conftest import EXAMPLE_SPEC
 
@@ -113,13 +117,128 @@ class TestHouseholder:
         calls = []
         qr = np.linalg.qr
 
-        def counting_qr(*args, **kwargs):
-            calls.append(args)
-            return qr(*args, **kwargs)
+        def counting_qr(a, mode="reduced"):
+            calls.append(mode)
+            return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         fit(renoir, EXAMPLE_SPEC)
-        assert len(calls) == 1
+        # R alone: no Q is formed for a fit
+        assert calls == ["r"]
+
+
+def explicit_q_fit(sys: DesignSystem):
+    """Coefficients, standard errors and residuals by solve(R, Q^T y) with Q formed.
+
+    The rank check reads the diagonal of the R of X alone, with the
+    library's threshold.
+    """
+    x, y = sys.design_matrix, sys.response_vector
+    n, k = x.shape
+    q, r = np.linalg.qr(x)
+    diag = np.abs(np.diag(r))
+    j = int(diag.argmin())
+    if diag[j] < RANK_RTOL * diag.max():
+        raise RankDeficientError(sys.column_names[j], float(diag[j] / diag.max()))
+    coef = np.linalg.solve(r, q.T @ y)
+    residuals = y - x @ coef
+    r_inv = np.linalg.inv(r)
+    se = np.sqrt(residuals @ residuals / (n - k) * np.sum(r_inv * r_inv, axis=1))
+    return coef, se, residuals
+
+
+def agreement_tolerances(sys: DesignSystem, coef, residuals):
+    """How far two backward-stable solves may differ: coefficients, residuals, SE rtol.
+
+    Each tolerance is rtol=1e-10, atol=1e-12 plus the first-order rounding
+    of a least-squares solve, u * ||row j of R^-1|| * (||y|| + ||X|| ||b||)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 20),
+    taken 16 times. On the near-collinear designs that term dominates:
+    both solves miss a 60-digit solution by far more than 1e-10 of it.
+    Residuals y - X b may move as far as X times the coefficient
+    tolerance lets them, and each SE as far as the residual sum of
+    squares then moves: |d SE| / SE = |d RSS| / (2 RSS).
+    """
+    x, y = sys.design_matrix, sys.response_vector
+    r_inv = np.linalg.inv(np.linalg.qr(x, mode="r"))
+    rounding = np.finfo(np.float64).eps * np.linalg.norm(r_inv, axis=1) * (
+        np.linalg.norm(y) + np.linalg.norm(x, 2) * np.linalg.norm(coef)
+    )
+    coef_tol = 1e-12 + 1e-10 * np.abs(coef) + 16.0 * rounding
+    residual_tol = 1e-12 + 1e-10 * np.abs(residuals) + np.abs(x) @ coef_tol
+    se_rtol = 1e-10 + (np.abs(residuals) @ residual_tol) / (residuals @ residuals)
+    return coef_tol, residual_tol, se_rtol
+
+
+@st.composite
+def hedonic_designs(draw):
+    """A dataset and spec: 2-20 periods, 0-3 extra characteristics, optionally
+    a column near a linear function of area, optionally n = k + 1 sales."""
+    n_periods = draw(st.integers(2, 20), label="periods")
+    n_extra = draw(st.integers(0, 3), label="extras")
+    # log10 of the noise that keeps z off 2 * area + 1; None leaves z out,
+    # and -inf makes it an exact linear function of area
+    z_noise = draw(st.one_of(st.none(), st.just(-math.inf), st.floats(-5.0, -1.0)), label="z_noise")
+    tight = draw(st.booleans(), label="n = k + 1")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+
+    rng = np.random.default_rng(seed)
+    k = 3 + n_extra + (z_noise is not None) + n_periods - 1
+    # every period has a sale, and there are k + 1 sales or more
+    spare = k + 1 - n_periods + (0 if tight else int(rng.integers(0, 10 * n_periods)))
+    sizes = 1 + rng.multinomial(spare, np.full(n_periods, 1.0 / n_periods))
+    periods = [f"P{q}" for q in range(n_periods)]
+    records = []
+    for q, size in enumerate(sizes.tolist()):
+        for _ in range(size):
+            area = float(np.exp(rng.normal(5.0 + 0.3 * q, 0.8)))
+            extras = {f"x{j}": float(rng.normal()) for j in range(n_extra)}
+            if z_noise is not None:
+                extras["z"] = 2.0 * area + 1.0 + 10.0**z_noise * area * float(rng.normal())
+            records.append(
+                SaleObservation(
+                    id=f"s{len(records)}",
+                    period=periods[q],
+                    price=float(np.exp(rng.normal(11.0 + 0.0004 * area, 0.6))),
+                    area=area,
+                    aspect_ratio=float(rng.uniform(0.4, 1.6)),
+                    extra_characteristics=extras,
+                )
+            )
+    ds = validate_dataset(records, period_order=periods)
+    regressors = ("area", "aspect_ratio", *(f"x{j}" for j in range(n_extra)))
+    if z_noise is not None:
+        regressors += ("z",)
+    base = draw(st.integers(0, n_periods - 1), label="base")
+    return ds, ModelSpec(regressors=regressors, reference_period=periods[base])
+
+
+class TestAugmentedFactor:
+    """``fit`` reads R and Q^T y off one R-only QR of [X | y]; the explicit-Q
+    solve is the oracle."""
+
+    @given(design=hedonic_designs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_explicit_q_solve(self, design):
+        ds, spec = design
+        sys = build_design(ds, spec)
+        try:
+            coef, se, residuals = explicit_q_fit(sys)
+        except RankDeficientError as expected:
+            with pytest.raises(RankDeficientError) as got:
+                fit(ds, spec)
+            assert got.value.column == expected.column
+            return
+        result = fit(ds, spec)
+        coef_tol, residual_tol, se_rtol = agreement_tolerances(sys, coef, residuals)
+        assert np.all(np.abs(result.coefficients - coef) <= coef_tol)
+        assert np.all(np.abs(result.residuals - residuals) <= residual_tol)
+        assert np.all(np.abs(result.standard_errors - se) <= 1e-12 + se_rtol * se)
+        if "z" not in spec.regressors:
+            # away from collinearity the rounding term is negligible
+            for got, want in ((result.coefficients, coef), (result.residuals, residuals),
+                              (result.standard_errors, se)):
+                assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 class TestIncompleteBeta:

@@ -221,6 +221,10 @@ class TestMelserDiagnostic:
         with pytest.raises(ModelError, match="'Q' not present"):
             melser_diagnostic(renoir, "area", "A", "Q")
 
+    def test_equal_periods_are_refused(self, renoir):
+        with pytest.raises(ModelError, match="periods must differ"):
+            melser_diagnostic(renoir, "area", "A", "A")
+
     def test_significance_needs_more_than_two_observations(self):
         ds = validate_dataset(
             [SaleObservation("1", "A", 100.0, 10.0, 1.0), SaleObservation("2", "B", 200.0, 20.0, 1.0)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,19 @@ class TestBuildDesign:
             pinned.response_vector, free.response_vector - np.log(areas), atol=1e-12
         )
         assert pinned.column_names == free.column_names
+
+    @pytest.mark.parametrize(
+        "pinned, message",
+        [
+            (("log_area", math.nan), "pinned coefficient of 'log_area' must be finite"),
+            (("area", -math.inf), "pinned coefficient of 'area' must be finite"),
+            (("area", 1e308), "of 'area' takes the response past the float range"),
+        ],
+    )
+    def test_pinned_term_must_leave_a_finite_response(self, renoir, pinned, message):
+        spec = ModelSpec(reference_period="A", pinned=(pinned,))
+        with pytest.raises(ModelError, match=message):
+            fit(renoir, spec)
 
     def test_missing_reference_period(self, renoir):
         with pytest.raises(ModelError, match="reference period 'Z'"):
