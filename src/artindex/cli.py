@@ -16,6 +16,10 @@ Exit statuses: 0 success or compliant, 2 usage error, 3 data or model
 error, 4 monotonicity violation found. Output is deterministic: equal
 inputs and flags produce byte-identical reports (random audits require
 an explicit seed).
+
+A command imports only the library modules it runs: the audit,
+replication and regression code load inside the commands that call
+them, so ``index --method npgm`` starts without them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .csvio import InputSchema, bundled_data_path, load_csv
 from .domain import Dataset
@@ -42,18 +46,6 @@ from .indexes import (
     npgm_index,
     npgm_method,
 )
-from .monotonicity import (
-    DEFAULT_MULTIPLIER_GRID,
-    MonotonicityReport,
-    Perturbation,
-    check_monotonicity,
-    melser_diagnostic,
-    random_perturbation_audit,
-    search_violations,
-    violations_from,
-)
-from .regression import ModelSpec, fit
-from .replication import write_replication_outputs
 from .report import (
     Report,
     index_series_dict,
@@ -64,6 +56,9 @@ from .report import (
     render_monotonicity_table,
     render_regression_table,
 )
+
+if TYPE_CHECKING:
+    from .regression import ModelSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -254,6 +249,8 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def _model_spec(args, reference: str) -> ModelSpec:
+    from .regression import ModelSpec
+
     return ModelSpec(reference_period=reference, regressors=_names(args.regressors))
 
 
@@ -293,6 +290,8 @@ def _cmd_index(args) -> int:
         body = {"index": index_series_dict(series)}
         table = lambda: render_index_table(series)
     else:
+        from .regression import fit
+
         spec = _model_spec(args, base)
         # the base checks come first, so both methods word a bad base alike
         _require_base(ds, base, args.base_value)
@@ -311,6 +310,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .regression import fit
+
     ds, data_label = _load_dataset(args)
     reference = args.reference if args.reference is not None else ds.periods[0]
     spec = _model_spec(args, reference)
@@ -327,6 +328,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_monotonicity(args) -> int:
+    from .monotonicity import (
+        DEFAULT_MULTIPLIER_GRID,
+        MonotonicityReport,
+        Perturbation,
+        check_monotonicity,
+        melser_diagnostic,
+        random_perturbation_audit,
+        search_violations,
+        violations_from,
+    )
+
     ds, base, config = _load_with_base(args)
     config.update(mode=args.mode, format=args.format)
     if args.method == NPGM:
@@ -384,6 +396,8 @@ def _cmd_monotonicity(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .replication import write_replication_outputs
+
     summary = write_replication_outputs(args.outdir)
     body = {
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in summary.checks],

@@ -218,10 +218,13 @@ def partition_by_period(ds: Dataset) -> dict[str, np.ndarray]:
 
 def restrict_to_periods(ds: Dataset, periods: Sequence[str]) -> Dataset:
     """Keep only observations whose period is in ``periods`` (order kept)."""
-    wanted = {label: q for q, label in enumerate(periods)}
-    for label in wanted:
+    wanted = {}
+    for q, label in enumerate(periods):
         if label not in ds.periods:
             raise ValidationError(f"period {label!r} not present in dataset")
+        if label in wanted:
+            raise ValidationError(f"period {label!r} is listed twice")
+        wanted[label] = q
     codes = np.array([wanted.get(p, -1) for p in ds.periods])[ds.period_codes]
     kept = np.flatnonzero(codes >= 0)
     return replace(

@@ -26,21 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Dataset, SaleObservation, partition_by_period, restrict_to_periods
+from .domain import Dataset, partition_by_period, restrict_to_periods
 from .errors import ModelError
-from .regression import (
-    ModelSpec,
-    RegressionResult,
-    build_design,
-    characteristic_column,
-    dummy_column_name,
-    fit,
-    solve_with_pseudo_inverse,
-)
+
+if TYPE_CHECKING:
+    from .domain import SaleObservation
+    from .regression import ModelSpec, RegressionResult
+
+# The hedonic functions import ``regression`` where they run, so that the
+# npgm index loads no regression code.
 
 NPGM = "npgm"
 HPM = "hpm"
@@ -172,6 +170,8 @@ def npgm_index(
 def _hpm_series(
     column_names: Sequence[str], coef: np.ndarray, ds: Dataset, reference: str, base_value: float
 ) -> IndexSeries:
+    from .regression import dummy_column_name
+
     coefficient = dict(zip(column_names, coef.tolist()))
     levels = dict.fromkeys(ds.periods, base_value)
     for p in ds.periods:
@@ -215,6 +215,8 @@ def hpm_timedummy_index(
 def _hpm_evaluate(
     ds: Dataset, spec: ModelSpec, base_value: float
 ) -> tuple[IndexSeries, np.ndarray]:
+    from .regression import build_design, solve_with_pseudo_inverse
+
     _require_base(ds, spec.reference_period, base_value)
     sys = build_design(ds, spec)
     coef, pinv = solve_with_pseudo_inverse(sys)
@@ -246,6 +248,8 @@ def pinned_log_area_spec(reference_period: str) -> ModelSpec:
     characteristics remain, so the regression is run on log unitary
     prices.
     """
+    from .regression import ModelSpec
+
     return ModelSpec(reference_period=reference_period, pinned=(("log_area", 1.0),))
 
 
@@ -273,6 +277,8 @@ def theta_factor(
     use their fitted coefficients and pinned characteristics their pinned
     ones, which is what makes the identity exact for constrained fits too.
     """
+    from .regression import characteristic_column
+
     rows0, rows1 = two_period_rows(ds, period0, period1)
     exponent = 0.0
     weighted = [(name, result.coefficient(name)) for name in spec.regressors]
@@ -293,12 +299,15 @@ def decompose_index(
     evaluated independently: the raw-price geometric-mean ratio times
     theta against the exponentiated time dummy.
     """
+    from .regression import dummy_column_name, fit
+
+    # equal or missing periods are a model error, found before the restriction
+    rows0, rows1 = two_period_rows(ds, period0, period1)
     sub = restrict_to_periods(ds, [period0, period1])
-    rows0, rows1 = two_period_rows(sub, period0, period1)
     two_spec = replace(spec, reference_period=period0)
     result = fit(sub, two_spec)
 
-    geomean_ratio = _geometric_mean(sub.price[rows1]) / _geometric_mean(sub.price[rows0])
+    geomean_ratio = _geometric_mean(ds.price[rows1]) / _geometric_mean(ds.price[rows0])
     theta = theta_factor(result, sub, period0, period1, two_spec)
     exp_delta = math.exp(result.coefficient(dummy_column_name(period1)))
     product = geomean_ratio * theta

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .indexes import IndexSeries
-from .monotonicity import LevelComparison, MonotonicityReport
-from .regression import RegressionResult
+if TYPE_CHECKING:
+    from .indexes import IndexSeries
+    from .monotonicity import LevelComparison, MonotonicityReport
+    from .regression import RegressionResult
 
 
 @dataclass(frozen=True)

@@ -676,6 +676,46 @@ class TestClosedStdout:
         assert (proc.wait(), err) == (code, b"")
 
 
+class TestStartup:
+    """A command imports only the library modules it runs."""
+
+    PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("artindex."))
+
+import artindex
+stages = {"package": loaded()}
+from artindex import cli
+stages["cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    npgm = cli.main(["index", "--method", "npgm", "--format", "json"])
+    stages["index npgm"] = loaded()
+    grid = cli.main(["monotonicity", "--method", "hpm", "--mode", "grid", "--format", "json"])
+    stages["monotonicity hpm grid"] = loaded()
+print(json.dumps({"codes": [npgm, grid], "stages": stages}))
+"""
+
+    def test_each_command_loads_only_what_it_runs(self):
+        src = str(Path(artindex.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        result = json.loads(proc.stdout)
+        stages = result["stages"]
+        assert result["codes"] == [0, 4]
+        assert stages["package"] == []
+        audit_only = {"monotonicity", "replication", "regression", "kernels"}
+        assert not audit_only & set(stages["cli"])
+        assert not audit_only & set(stages["index npgm"])
+        assert {"monotonicity", "regression"} <= set(stages["monotonicity hpm grid"])
+
+
 class TestReproduceCommand:
     def test_writes_all_artifacts(self, capsys, tmp_path):
         outdir = tmp_path / "out"

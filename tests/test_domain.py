@@ -224,3 +224,8 @@ class TestTransforms:
     def test_restrict_unknown_period(self, renoir):
         with pytest.raises(ValidationError, match="'Q' not present"):
             restrict_to_periods(renoir, ["Q"])
+
+    @pytest.mark.parametrize("periods, repeated", [(["A", "A"], "A"), (["B", "A", "B"], "B")])
+    def test_restrict_repeated_period(self, renoir, periods, repeated):
+        with pytest.raises(ValidationError, match=f"period '{repeated}' is listed twice"):
+            restrict_to_periods(renoir, periods)

@@ -22,7 +22,7 @@ from artindex import (
     validate_dataset,
     with_price_increments,
 )
-from artindex import indexes, kernels
+from artindex import kernels, regression
 from artindex.regression import fit
 
 from conftest import EXAMPLE_SPEC, TABLE1
@@ -266,7 +266,7 @@ class TestThetaAndDecomposition:
         def refuse(*args):
             raise AssertionError("decompose_index refitted")
 
-        monkeypatch.setattr(indexes, "fit", refuse)
+        monkeypatch.setattr(regression, "fit", refuse)
         with pytest.raises(ModelError, match="periods must differ"):
             decompose_index(renoir, EXAMPLE_SPEC, "A", "A")
 
