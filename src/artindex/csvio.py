@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,6 +17,17 @@ from .domain import Dataset, _from_columns
 from .errors import ValidationError
 
 BUNDLED_DATA_NAME = "renoir_1989_1990.csv"
+
+# every character str.strip() removes (those str.isspace() accepts), and the comma
+_BLANK = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000,"
+)
+
+# The data rows of a CSV text: its header row (None when it has none), each
+# row length with the 1-based number of the first data row of that length,
+# and a function listing the cells at one position, one per data row.
+_Table = tuple[list[str] | None, dict[int, int], Callable[[int], list[str]]]
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,60 @@ def _positions(header: Sequence[str] | None, width: int, schema: InputSchema) ->
     return positions
 
 
+def _split_unquoted(text: str, has_header: bool) -> _Table | None:
+    """The table of CSV text without quotes, read with two ``str.split`` calls.
+
+    Returns None when the text needs ``csv.reader``: it holds a quote or
+    a NUL (which ``csv.reader`` refuses before Python 3.11), a line longer
+    than the csv module's field size limit, or data rows with unequal
+    numbers of cells. Otherwise the table matches ``csv.reader``'s row
+    for row, and no per-row list is built.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    # csv.reader's lines: each ends at \r\n, \r or \n, never at the other
+    # characters str.splitlines() breaks at
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the last line end, or the empty text
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    header = None
+    if has_header and lines:
+        line = lines.pop(0)
+        header = line.split(",") if line else []  # csv.reader reads "" as no cell
+    # a line is blank when it holds only whitespace and commas
+    lines = list(compress(lines, map(str.strip, lines, repeat(_BLANK))))
+    if not lines:
+        return header, {}, lambda pos: []
+    n, width = len(lines), lines[0].count(",") + 1
+    # the cells row by row, with a "\n" cell (which no line holds) between
+    # rows: every row has `width` cells exactly when there are
+    # n * (width + 1) - 1 cells and every (width + 1)-th one is a "\n"
+    cells = ",\n,".join(lines).split(",")
+    stride = width + 1
+    if len(cells) != n * stride - 1 or cells[width::stride].count("\n") != n - 1:
+        return None
+    return header, {width: 1}, lambda pos: cells[pos::stride]
+
+
+def _read_rows(text: str, path: Path, has_header: bool) -> _Table:
+    """The table of any CSV text, read row by row with ``csv.reader``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValidationError(f"cannot read {path}: line {reader.line_num}: {exc}") from exc
+    header = rows.pop(0) if has_header and rows else None
+    # a row is blank when all of its cells are whitespace
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))
+    widths: dict[int, int] = {}
+    for number, row in enumerate(rows, start=1):
+        widths.setdefault(len(row), number)
+    return header, widths, lambda pos: list(map(itemgetter(pos), rows))
+
+
 def load_csv(
     path: str | Path,
     schema: InputSchema | None = None,
@@ -99,7 +165,14 @@ def load_csv(
 ) -> Dataset:
     """Read sale records from a CSV file and validate them into a Dataset.
 
-    The file is read column by column: each numeric column is parsed with
+    The file is UTF-8, with or without a byte-order mark, in the csv
+    module's default (Excel) dialect. Text without a quote whose data
+    rows all have the same number of cells is split into cells with two
+    ``str.split`` calls; any other text is read by ``csv.reader``. Both
+    give the same table, so the path changes no result and no message.
+    Blank rows (every cell whitespace) are skipped.
+
+    The table is read column by column: each numeric column is parsed with
     Python's ``float`` and checked as a whole. Parsing problems are
     reported with 1-based data row numbers and the offending column, row
     by row; only a file that parses is then checked record by record, as
@@ -109,31 +182,29 @@ def load_csv(
     schema.check()
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
-    header: list[str] | None = None
-    if schema.has_header:
-        if not rows:
-            raise ValidationError("empty dataset")
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-    # a row is blank when all of its cells are whitespace
-    rows = list(compress(rows, map(str.strip, map("".join, rows))))
-    if not rows:
+    table = _split_unquoted(text, schema.has_header)
+    if table is None:
+        table = _read_rows(text, path, schema.has_header)
+    header, widths, column = table
+    if not widths:
         raise ValidationError("empty dataset")
+    if header is not None:
+        header = [cell.strip() for cell in header]
 
-    positions = _positions(header, max(map(len, rows)), schema)
+    positions = _positions(header, max(widths), schema)
     last = max(positions.values())
-    if min(map(len, rows)) <= last:
-        row_number, row = next((i, r) for i, r in enumerate(rows, start=1) if len(r) <= last)
-        ref = next(ref for ref, pos in positions.items() if pos >= len(row))
+    short = [(row_number, width) for width, row_number in widths.items() if width <= last]
+    if short:
+        row_number, width = min(short)
+        ref = next(ref for ref, pos in positions.items() if pos >= width)
         raise ValidationError(f"row {row_number}: missing column {ref!r}")
 
     def cells(ref: str) -> list[str]:
-        return list(map(itemgetter(positions[ref]), rows))
+        return column(positions[ref])
 
     # messages per 0-based row, each row's in column order
     problems: dict[int, list[str]] = {}

@@ -133,7 +133,6 @@ def _from_columns(
     n = len(ids)
     if not n:
         raise ValidationError("empty dataset")
-    rows = dict(zip(ids, range(n)))
     checks = [
         (f"{name} must be a positive finite number", numbers[name]) for name in _BUILTIN_COLUMNS
     ]
@@ -145,7 +144,7 @@ def _from_columns(
     bad = [~(np.isfinite(f) & (f > 0)) for f in floats[:3]] + [~np.isfinite(f) for f in floats[3:]]
     flagged = np.logical_or.reduce(bad)
     duplicates: set[int] = set()
-    if len(rows) < n:
+    if len(set(ids)) < n:
         seen: set[str] = set()
         duplicates = {i for i, obs_id in enumerate(ids) if obs_id in seen or seen.add(obs_id)}
         flagged[list(duplicates)] = True
@@ -173,7 +172,7 @@ def _from_columns(
     if errors:
         raise ValidationError(errors)
     code = {label: q for q, label in enumerate(periods)}
-    ds = Dataset(
+    return Dataset(
         ids=ids,
         periods=periods,
         period_codes=np.fromiter(map(code.__getitem__, labels), dtype=np.intp, count=n),
@@ -182,8 +181,6 @@ def _from_columns(
         aspect_ratio=floats[2],
         extras=dict(zip(extras, floats[3:])),
     )
-    object.__setattr__(ds, "_rows", rows)  # the duplicate check built it already
-    return ds
 
 
 def validate_dataset(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from artindex import load_bundled_dataset, with_period_relabeled, with_price_scaled
@@ -40,6 +43,16 @@ TABLE1 = (
     ("28", "B", 29393641.0, 8100.00, 1.235, 3628.84),
     ("29", "B", 146841502.0, 8892.00, 0.684, 16513.89),
 )
+
+
+def generated_csv(path: Path, n_sales: int = 120, n_periods: int = 4, area_trend: float = 1.0) -> Path:
+    """A file from the benchmark's seeded generator (default: 120 sales, 4 periods, area rising)."""
+    spec = importlib.util.spec_from_file_location(
+        "gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write_csv(path, seed=1, n_sales=n_sales, n_periods=n_periods, area_trend=area_trend)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from artindex.replication import run_replication, write_replication_outputs
 from artindex.report import Report
 from artindex import SaleObservation, fit, with_price_scaled
 
-from conftest import EXAMPLE_SPEC
+from conftest import EXAMPLE_SPEC, generated_csv
 
 
 def run(capsys, *argv):
@@ -81,6 +80,22 @@ class TestIndexCommand:
         code, _, err = run(capsys, "index", "--data", "/nonexistent.csv")
         assert code == 3
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (b"1,Caf\xe9,100,10,1.0\n",
+             "'utf-8' codec can't decode byte 0xe9 in position 44: invalid continuation byte"),
+            (b'"' + b"x" * 200_000 + b'",A,100,10,1.0\n',
+             "line 2: field larger than field limit (131072)"),
+        ],
+        ids=["not utf-8", "csv error"],
+    )
+    def test_unreadable_data_file_is_data_error(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "sales.csv"
+        path.write_bytes(b"id,dataset,price_usd,area_cm2,hw_ratio\n" + content)
+        code, out, err = run(capsys, "index", "--data", str(path))
+        assert (code, out, err) == (3, "", f"error: cannot read {path}: {reason}\n")
 
     @pytest.mark.parametrize("base_value", ["-5", "0", "nan"])
     def test_bad_base_value_is_data_error_for_both_methods(self, capsys, base_value):
@@ -566,16 +581,6 @@ class TestConfigFile:
         assert built > 0 and len(calls) == built
 
 
-def _generated_csv(path: Path, n_sales: int = 120, n_periods: int = 4, area_trend: float = 1.0) -> Path:
-    """A file from the benchmark's seeded generator (default: 120 sales, 4 periods, area rising)."""
-    spec = importlib.util.spec_from_file_location(
-        "gen", Path(__file__).parents[1] / "perfbench" / "gen.py"
-    )
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.write_csv(path, seed=1, n_sales=n_sales, n_periods=n_periods, area_trend=area_trend)
-
-
 class TestHpmLevelsAgree:
     """``index --method hpm`` (through ``fit``) and the hpm audit (through X+)
     read the same R and Q^T y, so their levels agree bit for bit."""
@@ -584,7 +589,7 @@ class TestHpmLevelsAgree:
     def test_index_levels_are_the_audit_levels_before(self, capsys, tmp_path, generated):
         data, obs = [], "29"
         if generated:
-            path = _generated_csv(tmp_path / "gen.csv", n_sales=3000, n_periods=12, area_trend=0.05)
+            path = generated_csv(tmp_path / "gen.csv", n_sales=3000, n_periods=12, area_trend=0.05)
             data = ["--data", str(path), "--extra-columns", "age_years",
                     "--regressors", "area,aspect_ratio,age_years"]
             obs = "3000"
@@ -603,7 +608,7 @@ class TestColumnarPath:
     """The commands read the dataset's columns and never build a SaleObservation."""
 
     def test_commands_build_no_records(self, capsys, tmp_path, monkeypatch):
-        generated = str(_generated_csv(tmp_path / "gen.csv"))
+        generated = str(generated_csv(tmp_path / "gen.csv"))
         inputs = [
             ("29", []),
             ("100", ["--data", generated, "--extra-columns", "age_years",

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import codecs
+import csv
+import sys
 
 import pytest
 
 from artindex import InputSchema, ValidationError, load_csv
+from artindex import csvio
 from artindex.csvio import bundled_data_path
+
+from conftest import generated_csv
+
+HEADER = "id,dataset,price_usd,area_cm2,hw_ratio\n"
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -69,6 +76,27 @@ class TestParsing:
         with pytest.raises(ValidationError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_csv_error_names_the_line(self, tmp_path, quoted):
+        # a cell past the csv module's field size limit (131,072 characters)
+        cell = "x" * 200_000
+        row = (f'"{cell}"' if quoted else cell) + ",A,1,1,1\n"
+        path = write(tmp_path, HEADER + "1,A,100,10,1.0\n" + row)
+        with pytest.raises(ValidationError) as excinfo:
+            load_csv(path)
+        limit = csv.field_size_limit()
+        assert excinfo.value.errors == [
+            f"cannot read {path}: line 3: field larger than field limit ({limit})"
+        ]
+
+    def test_nul_is_read_as_csv_reader_reads_it(self, tmp_path):
+        path = write(tmp_path, HEADER + "1,A,100,10,1.0\n2\0,B,200,20,1.1\n")
+        if sys.version_info < (3, 11):
+            with pytest.raises(ValidationError, match="line 3: line contains NUL"):
+                load_csv(path)
+        else:
+            assert load_csv(path).ids == ("1", "2\0")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValidationError, match="empty dataset"):
             load_csv(write(tmp_path, "id,dataset,price_usd,area_cm2,hw_ratio\n"))
@@ -101,6 +129,42 @@ class TestParsing:
         ds = load_csv(path, schema)
         assert len(ds) == 2
         assert ds.by_id("2").period == "B"
+
+
+class TestReadPaths:
+    """Unquoted files with equal rows are split without csv.reader; other files reach it."""
+
+    @pytest.fixture
+    def no_reader(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+
+    def test_unquoted_files_skip_csv_reader(self, tmp_path, no_reader):
+        assert len(load_csv(bundled_data_path())) == 29
+        path = generated_csv(tmp_path / "gen.csv", n_sales=300, n_periods=3)
+        assert len(load_csv(path, InputSchema(extra_columns=("age_years",)))) == 300
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            '1,A,100,10,1.0\n"2",B,200,20,1.1\n',
+            "1,A,100,10,1.0\n2,B,200,20,1.1,note\n",
+            "1,A,100,10,1.0\n2,B,200,20\n",
+            "1,A,100,10,1.0\n2,B,200,20,1.1,note\n3,B,300,30\n",
+            "1,A,100,10,1.0\n2\0,B,200,20,1.1\n",
+            "1,A,100,10,1.0\n2,B,200,20,1.1" + " " * 200_000 + "\n",
+        ],
+        ids=["quote", "long row", "short row", "long and short rows", "NUL", "line past the limit"],
+    )
+    def test_other_files_reach_csv_reader(self, tmp_path, no_reader, rows):
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            load_csv(write(tmp_path, HEADER + rows))
+
+    def test_blank_characters_are_the_whitespace_and_the_comma(self):
+        whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert sorted(csvio._BLANK) == sorted(whitespace | {","})
 
 
 class TestHeightWidth:

@@ -6,6 +6,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artindex import (
@@ -27,6 +28,9 @@ PARSED_CELLS = (
     "\x1c7\x1c", "\u0663",
 )
 UNPARSED_CELLS = ("abc", "", "1..2", "1 2")
+# cells that strip to empty: a row of them is blank, and both read paths skip it
+BLANK_CELLS = ("", " ", "\t", "\u3000", "\x1c", " \x1c\u3000")
+LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 def _bits(values) -> bytes:
@@ -83,20 +87,22 @@ def numeric_cells(draw, mode: str, positive: bool, separator: str) -> str:
 
 
 @st.composite
-def csv_files(draw):
-    """CSV text, its schema and a period order, covering every ingest path.
+def csv_tables(draw, commas: bool = True):
+    """Rows of a CSV file (its header first), its schema and a period order.
 
     Height/width or area columns, 0-2 extras (possibly named twice),
     shuffled columns with an unused one, header or positional columns,
     decimal comma, whitespace padding, blank and short rows, repeated
-    ids, BOM, and a supplied period order that may not fit.
+    ids, and a supplied period order that may not fit. Without
+    ``commas`` no cell holds a comma, so the rows can be written
+    without quotes.
     """
     # "values" files parse, so their faults reach the record checks
     mode = draw(st.sampled_from(["clean", "values", "any"]), label="mode")
     height_width = draw(st.booleans(), label="height_width")
     ratio_column = not height_width or draw(st.booleans())
     n_extra = draw(st.integers(0, 2))
-    separator = draw(st.sampled_from([".", ","]))
+    separator = draw(st.sampled_from([".", ","] if commas else ["."]))
     has_header = draw(st.booleans())
 
     numeric = ["price"] + (["h", "w"] if height_width else ["area"])
@@ -127,7 +133,7 @@ def csv_files(draw):
         cells = {
             "id": str(i) if mode == "clean" or draw(st.integers(0, 5)) else str(draw(st.integers(0, i))),
             "period": draw(st.sampled_from(PADDING)) + draw(st.sampled_from(PERIODS)),
-            "unused": draw(st.sampled_from(["", "note", "1,5"])),
+            "unused": draw(st.sampled_from(["", "note", "1,5"] if commas else ["", "note"])),
         }
         for name in numeric:
             cells[name] = draw(numeric_cells(mode, True, separator))
@@ -138,14 +144,10 @@ def csv_files(draw):
             row = row[: draw(st.integers(0, len(row) - 1))]
         rows.append(row)
         if not draw(st.integers(0, 6)):
-            rows.append(draw(st.sampled_from([[], [""], ["  ", "\t"], [" "] * len(names)])))
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+            width = draw(st.sampled_from([0, 1, 2, len(names)]))
+            rows.append([draw(st.sampled_from(BLANK_CELLS)) for _ in range(width)])
     if has_header:
-        writer.writerow([draw(st.sampled_from(PADDING)) + name for name in names])
-    writer.writerows(rows)
-    text = ("\ufeff" if draw(st.booleans(), label="bom") else "") + buffer.getvalue()
+        rows.insert(0, [draw(st.sampled_from(PADDING)) + name for name in names])
 
     order = draw(
         st.one_of(
@@ -155,6 +157,25 @@ def csv_files(draw):
         ),
         label="period_order",
     )
+    return rows, schema, order
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text, its schema and a period order, covering every ingest path.
+
+    The rows of :func:`csv_tables`, written by ``csv.writer`` (which
+    quotes a cell holding a comma), with \\n, \\r\\n or lone \\r line
+    ends, maybe no line end after the last line, and maybe a BOM.
+    """
+    rows, schema, order = draw(csv_tables(commas=draw(st.booleans(), label="commas")))
+    line_end = draw(st.sampled_from(LINE_ENDS), label="line_end")
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=line_end).writerows(rows)
+    text = buffer.getvalue()
+    if draw(st.booleans(), label="no_last_line_end"):
+        text = text[: -len(line_end)]
+    text = ("\ufeff" if draw(st.booleans(), label="bom") else "") + text
     return text, schema, order
 
 
@@ -167,6 +188,50 @@ def test_load_csv_matches_rowwise_oracle(tmp_path, case):
     want = _outcome(load_records, _from_records, path, schema, order)
     got = _outcome(load_csv, _from_dataset, path, schema, order)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_tables(commas=False), line_end=st.sampled_from(LINE_ENDS))
+def test_quoting_changes_nothing(tmp_path, case, line_end):
+    """One table written without quotes and with every cell quoted loads alike."""
+    rows, schema, order = case
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=line_end, quoting=csv.QUOTE_ALL).writerows(rows)
+    plain = "".join(",".join(row) + line_end for row in rows)
+    texts = {"plain": plain, "quoted": buffer.getvalue()}
+    outcomes = []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        outcomes.append(_outcome(load_csv, _from_dataset, path, schema, order))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_empty_header_line_has_no_cells(tmp_path):
+    # csv.reader reads an empty line as a row with no cell, so even a
+    # column named "" is not in an empty header
+    path = tmp_path / "sales.csv"
+    path.write_text("\n1,A,100,10,1.0\n", encoding="utf-8")
+    schema = InputSchema(id_column="")
+    want = _outcome(load_records, _from_records, path, schema)
+    assert want == [
+        f"column {ref!r} not found in input file"
+        for ref in ("", "dataset", "price_usd", "area_cm2", "hw_ratio")
+    ]
+    assert _outcome(load_csv, _from_dataset, path, schema) == want
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_cr_and_lf_end_a_row(tmp_path, separator):
+    # str.splitlines() would also break these lines, into two rows of six cells
+    path = tmp_path / "sales.csv"
+    line = f"1,A,100,10,1.0,a{separator}2,B,200,20,1.1,b\n"
+    path.write_text("id,dataset,price_usd,area_cm2,hw_ratio\n" + line, encoding="utf-8")
+    want = _outcome(load_records, _from_records, path)
+    assert want[0] == ("1",)
+    assert _outcome(load_csv, _from_dataset, path) == want
 
 
 def test_bundled_file_matches_rowwise_oracle():
