@@ -84,7 +84,10 @@ def load_bundled_dataset() -> Dataset:
 
 
 def _positions(header: Sequence[str] | None, width: int, schema: InputSchema) -> dict[str, int]:
-    """Cell position of every mapped column, in the order a row's cells are read."""
+    """Cell position of every mapped column, in the order a row's cells are read.
+
+    A mapped column the header lacks, or names more than once, is refused.
+    """
     s = schema
     refs = [s.id_column, s.period_column, s.price_column, s.area_column, s.height_column]
     refs += [s.width_column, s.aspect_ratio_column, *s.extra_columns]
@@ -99,8 +102,12 @@ def _positions(header: Sequence[str] | None, width: int, schema: InputSchema) ->
             positions[ref] = pos
         else:
             missing.append(ref)
-    if missing:
-        raise ValidationError([f"column {ref!r} not found in input file" for ref in missing])
+    repeated = [ref for ref in positions if header is not None and header.count(ref) > 1]
+    if missing or repeated:
+        raise ValidationError(
+            [f"column {ref!r} not found in input file" for ref in missing]
+            + [f"column {ref!r} appears more than once in the header" for ref in repeated]
+        )
     return positions
 
 

@@ -15,11 +15,11 @@ Both indexes are log-linear in prices with characteristics held fixed,
 and their weights W = d log I / d log p do not depend on prices. Each
 audit therefore computes the index and W once (one QR for hpm), and a
 perturbed level exactly as ``level_before[q] * exp(W[q] @ x)`` with
-x = log(p + inc) - log p, with no refit. The grid and random audits
-screen their perturbations in bulk and judge exactly only those flagged:
-one whose every raised period has W[q] @ x clearly above zero lowers no level.
-All three judge through one method, ``_Levels.judge``, so each violation
-an audit reports replays through :func:`check_monotonicity` bit for bit.
+x = log(p + inc) - log p, with no refit. A grid perturbation raises one
+sale, so W[q] @ x is one product, and the grid computes all of them in one
+array pass. The random audit screens its trials in bulk and judges exactly
+only those flagged. Each violation an audit reports replays through
+:func:`check_monotonicity` bit for bit.
 The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
 draws, so the memory it holds for draws is bounded by that budget
 whatever the trial count; every block size yields the same draws.
@@ -108,19 +108,13 @@ class _Levels:
         self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
 
     def flagged(
-        self,
-        rows: np.ndarray,
-        raised: np.ndarray,
-        weights: np.ndarray,
-        abs_weights: np.ndarray,
-        perturbed: np.ndarray | bool,
+        self, raised: np.ndarray, weights: np.ndarray, abs_weights: np.ndarray, perturbed: np.ndarray
     ) -> np.ndarray:
-        """Flat positions, in batch order, of the perturbations :meth:`compare` must judge.
+        """Positions, in batch order, of the trials :meth:`compare` must judge.
 
-        Each perturbation of the batch raises the price of each sale
-        ``rows[j]`` to ``raised[..., j]`` and leaves the other sales unraised;
-        ``perturbed[..., c]`` says whether it raised a sale of the period q
-        whose weight W[q, rows[j]] is ``weights[..., j, c]``, and
+        Trial k raises each audited sale ``targets[j]`` to ``raised[k, j]``;
+        ``perturbed[k, c]`` says whether it raised a sale of the period q
+        whose weight W[q, targets[j]] is ``weights[j, c]``, and
         ``abs_weights`` is ``np.abs(weights)``.
         """
         # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare
@@ -133,7 +127,7 @@ class _Levels:
         # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
         # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
         # falls; a non-finite s or margin fails that test and is flagged.
-        log_before, log_after = self._log_prices[rows], np.log(raised)
+        log_before, log_after = self._log_prices[self.targets], np.log(raised)
         s = (log_after - log_before) @ weights
         margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ abs_weights)
         return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
@@ -240,7 +234,8 @@ def search_violations(
     """Sweep single-observation price multipliers over non-base observations.
 
     Every (observation, multiplier) pair is tried in deterministic order:
-    dataset observation order first, then grid order.
+    dataset observation order first, then grid order. Each perturbed level
+    is the one :func:`check_monotonicity` computes, bit for bit.
     """
     grid = list(multiplier_grid)
     if not grid:
@@ -251,23 +246,27 @@ def search_violations(
 
     levels = _Levels(ds, method)
     targets = levels.targets
-    with np.errstate(over="ignore"):
-        increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
-        raised = ds.price[targets, None] + increments
+    own = ds.period_codes[targets]
+    before = levels._level_before[own, None]
 
     def describe(t, g):
         return f"obs {ds.ids[targets[t]]} price x{grid[g]:g}"
 
-    _check_raised(ds, targets[:, None], increments, raised, describe)
-    # a single-sale perturbation can lower only its own period, by W[own, i] * x
-    own = levels._weights[ds.period_codes[targets], targets][:, None, None]
-    violations = []
-    flagged = levels.flagged(targets[:, None, None], raised[..., None], own, np.abs(own), True)
-    for t, g in zip(*np.divmod(flagged, len(grid))):
-        violations += levels.judge(describe(t, g), targets[t : t + 1], increments[t, g : g + 1])[1]
-    return MonotonicityReport(
-        method=levels.before.method, trials=increments.size, violations=tuple(violations)
+    with np.errstate(over="ignore"):
+        increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
+        raised = ds.price[targets, None] + increments
+        _check_raised(ds, targets[:, None], increments, raised, describe)
+        # x is exactly zero at every other sale, so compare's W @ x is W[own, i] * x_i
+        x = np.log(raised) - levels._log_prices[targets, None]
+        after = before * np.exp(levels._weights[own, targets][:, None] * x)
+    dropped = (before - after) > RELATIVE_SLACK * before
+    found = zip(*np.nonzero(dropped), after[dropped].tolist(), increments[dropped].tolist())
+    violations = tuple(
+        Violation(describe(t, g), ds.periods[own[t]], before[t, 0].item(), level,
+                  Perturbation({ds.ids[targets[t]]: inc}))
+        for t, g, level, inc in found
     )
+    return MonotonicityReport(method=levels.before.method, trials=increments.size, violations=violations)
 
 
 def random_perturbation_audit(
@@ -301,13 +300,14 @@ def random_perturbation_audit(
         # one draw per block yields the same stream as a coins draw and a
         # magnitudes draw per trial, whatever the block size
         draws = rng.random((min(step, trials - start), 2, len(targets)))
+        # every increment is >= 0, so a zero coin's factor gives exactly +0.0
         block = draws[:, 1] * prices
-        block[draws[:, 0] < 0.5] = 0.0
+        block *= draws[:, 0] >= 0.5
         with np.errstate(over="ignore"):
             raised = prices + block
         _check_raised(ds, targets, block, raised, lambda k, _: f"trial {start + k}")
         perturbed = ((block > 0) @ in_period) > 0
-        for offset in levels.flagged(targets, raised, weights, abs_weights, perturbed).tolist():
+        for offset in levels.flagged(raised, weights, abs_weights, perturbed).tolist():
             violations += levels.judge(f"trial {start + offset}", targets, block[offset])[1]
     return MonotonicityReport(
         method=levels.before.method, trials=trials, violations=tuple(violations)

@@ -388,6 +388,26 @@ class TestMonotonicityCommand:
         assert (code, out) == (3, "")
         assert err == "error: perturbation pushes level 'B' past the float range\n"
 
+    @pytest.mark.parametrize(
+        "method,status,violators", [("npgm", 0, ()), ("hpm", 4, ("25", "28", "29"))]
+    )
+    def test_grid_raising_a_level_past_the_float_range_warns_nothing(
+        self, capsys, method, status, violators
+    ):
+        # x1e300 lifts a level near the float range to inf: a rise, not a
+        # violation, and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "monotonicity", "--base-value", "1e305", "--method", method,
+                "--mode", "grid", "--multipliers", "1e300", "--format", "json",
+            )
+        assert (code, err) == (status, "")
+        violations = Report.from_json(out).body["violations"]
+        assert [v["description"] for v in violations] == [
+            f"obs {i} price x1e+300" for i in violators
+        ]
+
     def test_negative_seed_is_data_error(self, capsys):
         code, out, err = run(
             capsys, "monotonicity", "--mode", "random", "--trials", "5", "--seed", "-1"
@@ -653,6 +673,16 @@ class TestInputMapping:
         assert bundled == named
         assert bundled[:2] == (3, "") and bundled[2].startswith("error: ")
 
+
+    def test_repeated_price_column_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "repeated.csv"
+        path.write_text(
+            "id,dataset,price_usd,price_usd,area_cm2,hw_ratio\n"
+            "1,A,100,999,10,1.0\n2,A,120,999,12,1.1\n3,B,150,999,11,0.9\n4,B,170,999,13,1.2\n"
+        )
+        code, out, err = run(capsys, "index", "--method", "npgm", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: column 'price_usd' appears more than once in the header\n"
 
 class TestClosedStdout:
     """A reader that leaves early (``artindex ... | head -1``) is not an error."""

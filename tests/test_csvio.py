@@ -66,6 +66,30 @@ class TestParsing:
         with pytest.raises(ValidationError, match="column 'area_cm2' not found"):
             load_csv(path)
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv.reader"])
+    def test_repeated_mapped_column_is_refused(self, tmp_path, quoted):
+        # on either read path: the second price_usd column must not be ignored
+        price = '"price_usd"' if quoted else "price_usd"
+        header = f"id,dataset,{price},price_usd,area_cm2,hw_ratio\n"
+        path = write(tmp_path, header + "1,A,100,999,10,1.0\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.errors == ["column 'price_usd' appears more than once in the header"]
+
+    def test_repeated_unmapped_column_is_read(self, tmp_path):
+        header = "id,dataset,note,price_usd,note,area_cm2,hw_ratio\n"
+        path = write(tmp_path, header + "1,A,x,100,y,10,1.0\n")
+        assert load_csv(path).by_id("1").price == 100.0
+
+    def test_missing_and_repeated_columns_are_reported_together(self, tmp_path):
+        path = write(tmp_path, "id,id,dataset,price_usd,hw_ratio\n1,1,A,100,1.0\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.errors == [
+            "column 'area_cm2' not found in input file",
+            "column 'id' appears more than once in the header",
+        ]
+
     def test_utf8_bom_is_ignored(self, tmp_path):
         text = bundled_data_path().read_text(encoding="utf-8")
         path = tmp_path / "bom.csv"

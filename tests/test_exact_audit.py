@@ -19,6 +19,7 @@ from artindex import (
     check_monotonicity,
     fit,
     hpm_method,
+    load_csv,
     npgm_method,
     pinned_log_area_spec,
     random_perturbation_audit,
@@ -27,7 +28,7 @@ from artindex import (
 )
 from artindex import monotonicity
 
-from conftest import EXAMPLE_SPEC
+from conftest import EXAMPLE_SPEC, generated_csv
 from refit_oracle import refit_check, refit_random, refit_search
 
 LEVEL_RTOL = 1e-12
@@ -242,7 +243,7 @@ NEAR_ONE = (1.0 + 2.0**-52, 1.0000000001)
 
 
 class TestScreen:
-    """Screened audits against judging every perturbation exactly."""
+    """The grid and the screened random audit against judging every perturbation exactly."""
 
     @given(design=designs())
     @HYPOTHESIS
@@ -264,25 +265,38 @@ class TestScreen:
                 report = random_perturbation_audit(ds, method, trials, seed)
             assert_identical_reports(report, judge_every_random_perturbation(ds, method, trials, seed))
 
-    def test_steps_below_the_rounding_margin_are_all_judged(self, renoir, monkeypatch):
-        # log(p * (1 + 2**-48)) - log p is a few ulps of log p: positive,
-        # but inside the margin, which must send it to the exact judgment
-        calls = count_compare(monkeypatch)
+    def test_steps_below_the_rounding_margin_are_all_judged(self, renoir):
+        # log(p * (1 + 2**-48)) - log p is a few ulps of log p: positive, but
+        # inside the random audit's screening margin, so only an exact level
+        # can tell whether it falls
+        grid = [1.0 + 2.0**-52, 1.0 + 2.0**-48]
         for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
-            calls.clear()
-            report = search_violations(renoir, method, [1.0 + 2.0**-52, 1.0 + 2.0**-48])
-            assert len(calls) == report.trials == 30
+            report = search_violations(renoir, method, grid)
+            assert report.trials == 30
+            assert_identical_reports(report, judge_every_grid_perturbation(renoir, method, grid))
 
-    def test_near_one_multiplier_finds_the_negative_weights(self, renoir, monkeypatch):
-        calls = count_compare(monkeypatch)
+    def test_near_one_multiplier_finds_the_negative_weights(self, renoir):
         report = search_violations(renoir, hpm_method(EXAMPLE_SPEC), [1.0000000001])
         assert {v.description for v in report.violations} == {
             f"obs {i} price x1" for i in ("25", "28", "29")
         }
-        assert 3 <= len(calls) < report.trials
         assert_identical_reports(
             report, judge_every_grid_perturbation(renoir, hpm_method(EXAMPLE_SPEC), [1.0000000001])
         )
+
+    def test_grid_is_exact_at_blas_sizes(self, tmp_path):
+        # 1,500 sales take BLAS's blocked and SIMD matvec paths in compare,
+        # which the small generated designs never reach
+        path = generated_csv(tmp_path / "sales.csv", n_sales=1500, n_periods=6, area_trend=1.0)
+        ds = load_csv(path)
+        grid = [1.0000000001, 2.0, 1000.0]
+        hpm = hpm_method(ModelSpec(regressors=("area", "aspect_ratio"), reference_period="A"))
+        for method in (npgm_method("A"), hpm):
+            report = search_violations(ds, method, grid)
+            assert_identical_reports(report, judge_every_grid_perturbation(ds, method, grid))
+            assert_violations_replay(ds, method, report)
+        # own-period negative hpm weights give violations to replay
+        assert report.violations
 
     def test_pinned_log_area_hpm_is_compliant_like_npgm(self, renoir):
         # its weights equal npgm's up to float noise, which must flag no level
