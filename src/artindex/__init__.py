@@ -21,14 +21,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "csvio": ("InputSchema", "bundled_data_path", "load_bundled_dataset", "load_csv"),
     "domain": (
-        "Dataset", "SaleObservation", "partition_by_period", "restrict_to_periods",
-        "validate_dataset", "with_period_relabeled", "with_price_increments", "with_price_scaled",
+        "Dataset", "SaleObservation", "partition_by_period", "validate_dataset",
+        "with_period_relabeled", "with_price_increments", "with_price_scaled",
     ),
     "errors": ("ArtindexError", "ModelError", "RankDeficientError", "ValidationError"),
     "indexes": (
         "DecompositionReport", "IndexMethod", "IndexSeries", "decompose_index",
-        "hpm_index_from_result", "hpm_method", "hpm_timedummy_index", "npgm_index", "npgm_level",
-        "npgm_method", "pinned_log_area_spec", "theta_factor",
+        "hpm_index_from_result", "hpm_method", "hpm_timedummy_index", "npgm_index",
+        "npgm_method", "pinned_log_area_spec",
     ),
     "monotonicity": (
         "DEFAULT_MULTIPLIER_GRID", "LevelComparison", "MonotonicityReport", "Perturbation",

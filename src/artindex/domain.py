@@ -213,29 +213,6 @@ def partition_by_period(ds: Dataset) -> dict[str, np.ndarray]:
     return {p: np.flatnonzero(ds.period_codes == q) for q, p in enumerate(ds.periods)}
 
 
-def restrict_to_periods(ds: Dataset, periods: Sequence[str]) -> Dataset:
-    """Keep only observations whose period is in ``periods`` (order kept)."""
-    wanted = {}
-    for q, label in enumerate(periods):
-        if label not in ds.periods:
-            raise ValidationError(f"period {label!r} not present in dataset")
-        if label in wanted:
-            raise ValidationError(f"period {label!r} is listed twice")
-        wanted[label] = q
-    codes = np.array([wanted.get(p, -1) for p in ds.periods])[ds.period_codes]
-    kept = np.flatnonzero(codes >= 0)
-    return replace(
-        ds,
-        ids=tuple(ds.ids[i] for i in kept.tolist()),
-        periods=tuple(periods),
-        period_codes=codes[kept],
-        price=ds.price[kept],
-        area=ds.area[kept],
-        aspect_ratio=ds.aspect_ratio[kept],
-        extras={name: column[kept] for name, column in ds.extras.items()},
-    )
-
-
 def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
     """Raise unless every increment is non-negative, for a known id, and leaves its price finite."""
     errors = []

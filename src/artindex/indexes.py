@@ -10,8 +10,10 @@ Two index methods are provided:
 Every hedonic fit has an intercept and time dummies, so the two are tied
 by an exact identity: the time-dummy level equals the ratio of raw-price
 geometric means multiplied by a characteristics-adjustment factor theta.
-Pinning the log-area coefficient at one (and using no free regressors)
-collapses the hedonic index onto the npgm index exactly.
+:func:`decompose_index` reads both sides off the one fit whose dummy it
+explains, the fit of the whole dataset that the hpm index itself comes
+from. Pinning the log-area coefficient at one (and using no free
+regressors) collapses the hedonic index onto the npgm index exactly.
 
 Both methods are log-linear in prices while characteristics stay fixed:
 log I_q = log I_base + sum_i W[q, i] log p_i. For npgm, W[q, i] is
@@ -20,6 +22,8 @@ for hpm it is the period's time-dummy row of the design's pseudo-inverse,
 and the design holds no prices. :func:`npgm_method` and
 :func:`hpm_method` package each index with its W as an
 :class:`IndexMethod`, which is what the monotonicity auditors evaluate.
+The hpm series alone needs only the coefficients, so
+:func:`hpm_timedummy_index` forms no pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Dataset, partition_by_period, restrict_to_periods
+from .domain import Dataset, partition_by_period
 from .errors import ModelError
 
 if TYPE_CHECKING:
-    from .domain import SaleObservation
     from .regression import ModelSpec, RegressionResult
 
 # The hedonic functions import ``regression`` where they run, so that the
@@ -127,11 +130,6 @@ def two_period_rows(ds: Dataset, period0: str, period1: str) -> tuple[np.ndarray
     return parts[period0], parts[period1]
 
 
-def npgm_level(observations: Sequence[SaleObservation]) -> float:
-    """Geometric mean of unitary prices for one period's observations."""
-    return _geometric_mean(np.array([o.price / o.area for o in observations], dtype=np.float64))
-
-
 def _require_base(ds: Dataset, base_period: str, base_value: float) -> None:
     if len(ds.periods) < 2:
         raise ModelError(
@@ -205,11 +203,15 @@ def hpm_timedummy_index(
 ) -> IndexSeries:
     """Conventional hedonic time-dummy index: solve OLS, exponentiate the dummies.
 
-    The levels are read off the coefficients of the evaluation that the
-    monotonicity auditors use, which are :func:`fit`'s bit for bit; no
-    standard errors or other statistics are computed.
+    The coefficients come from :func:`solve_least_squares`, the R-only
+    factorization that :func:`fit` runs, so the levels are :func:`fit`'s
+    bit for bit; no Q, weights or statistics are computed.
     """
-    return _hpm_evaluate(ds, spec, base_value)[0]
+    from .regression import build_design, solve_least_squares
+
+    _require_base(ds, spec.reference_period, base_value)
+    sys = build_design(ds, spec)
+    return _hpm_series(sys.column_names, solve_least_squares(sys), ds, spec.reference_period, base_value)
 
 
 def _hpm_evaluate(
@@ -263,52 +265,29 @@ def hpm_method(spec: ModelSpec, base_value: float = DEFAULT_BASE_VALUE) -> Index
     return IndexMethod(lambda ds: _hpm_evaluate(ds, spec, base_value))
 
 
-def theta_factor(
-    result: RegressionResult,
-    ds: Dataset,
-    period0: str,
-    period1: str,
-    spec: ModelSpec,
-) -> float:
-    """Characteristics-adjustment factor for the decomposition identity.
+def _decomposition(
+    result: RegressionResult, ds: Dataset, spec: ModelSpec, period1: str
+) -> DecompositionReport:
+    """Both sides of the identity for ``period1`` against the reference, read off ``result``.
 
-    theta = exp(sum_k beta_k * (mean_k(period0) - mean_k(period1))) where
-    the sum runs over every characteristic in the model: free regressors
-    use their fitted coefficients and pinned characteristics their pinned
-    ones, which is what makes the identity exact for constrained fits too.
+    ``result`` is the fit of ``spec`` on ``ds``, and the reference is
+    ``spec.reference_period``. theta =
+    exp(sum_k beta_k * (mean_k(reference) - mean_k(period1))), where the sum
+    runs over every characteristic in the model: free regressors use their
+    fitted coefficients and pinned characteristics their pinned ones, which
+    is what makes the identity exact for constrained fits too.
     """
-    from .regression import characteristic_column
+    from .regression import characteristic_column, dummy_column_name
 
-    rows0, rows1 = two_period_rows(ds, period0, period1)
+    rows0, rows1 = two_period_rows(ds, spec.reference_period, period1)
+    geomean_ratio = _geometric_mean(ds.price[rows1]) / _geometric_mean(ds.price[rows0])
     exponent = 0.0
     weighted = [(name, result.coefficient(name)) for name in spec.regressors]
     weighted.extend(spec.pinned)
     for name, beta in weighted:
         column = characteristic_column(ds, name)
         exponent += beta * (float(np.mean(column[rows0])) - float(np.mean(column[rows1])))
-    return math.exp(exponent)
-
-
-def decompose_index(
-    ds: Dataset, spec: ModelSpec, period0: str, period1: str
-) -> DecompositionReport:
-    """Verify the time-dummy decomposition on the two named periods.
-
-    The dataset is restricted to the two periods, refitted with
-    ``period0`` as the reference, and both sides of the identity are
-    evaluated independently: the raw-price geometric-mean ratio times
-    theta against the exponentiated time dummy.
-    """
-    from .regression import dummy_column_name, fit
-
-    # equal or missing periods are a model error, found before the restriction
-    rows0, rows1 = two_period_rows(ds, period0, period1)
-    sub = restrict_to_periods(ds, [period0, period1])
-    two_spec = replace(spec, reference_period=period0)
-    result = fit(sub, two_spec)
-
-    geomean_ratio = _geometric_mean(ds.price[rows1]) / _geometric_mean(ds.price[rows0])
-    theta = theta_factor(result, sub, period0, period1, two_spec)
+    theta = math.exp(exponent)
     exp_delta = math.exp(result.coefficient(dummy_column_name(period1)))
     product = geomean_ratio * theta
     return DecompositionReport(
@@ -318,3 +297,22 @@ def decompose_index(
         exp_delta=exp_delta,
         identity_gap=abs(product - exp_delta) / exp_delta,
     )
+
+
+def decompose_index(
+    ds: Dataset, spec: ModelSpec, period0: str, period1: str
+) -> DecompositionReport:
+    """Verify the time-dummy decomposition of ``period1`` against ``period0``.
+
+    ``spec`` is fitted once on the whole dataset with ``period0`` as the
+    reference, so exp delta is the level ``period1`` has in that model's
+    index (over 100). Both sides of the identity are then evaluated
+    independently: the raw-price geometric-mean ratio times theta against
+    the exponentiated time dummy.
+    """
+    from .regression import fit
+
+    # equal or missing periods are a model error, found before the fit
+    two_period_rows(ds, period0, period1)
+    spec = replace(spec, reference_period=period0)
+    return _decomposition(fit(ds, spec), ds, spec, period1)

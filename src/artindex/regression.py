@@ -17,9 +17,10 @@ the coefficient covariance; R serves both the coefficients and the
 covariance, so a fit factors once. :func:`solve_with_pseudo_inverse`
 runs the same factorization and also forms Q, to return the
 coefficients (bitwise those of :func:`fit`) and X+, their sensitivity to
-the response; the hpm index and its monotonicity weights come from it.
-:func:`solve_least_squares` returns the coefficients alone, for library
-callers and the tests that check the solver against an OLS oracle.
+the response; the hpm monotonicity weights come from it.
+:func:`solve_least_squares` runs the R-only factorization of
+:func:`fit` and returns the coefficients alone; the hpm series
+(``indexes.hpm_timedummy_index``) comes from it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
-"""Audit reports on the bundled data, byte for byte against the checked-in corpus.
+"""Reports and files on the bundled data, byte for byte against the checked-in corpus.
 
-The expected stdout and exit status of each case live in
-``tests/data/audit_parity``; ``tests/make_audit_parity.py`` regenerates them.
+The expected stdout and exit status of each case, and the files that
+``reproduce`` writes, live in ``tests/data/audit_parity``;
+``tests/make_audit_parity.py`` regenerates them.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ import json
 
 import pytest
 
-from make_audit_parity import CASES, CORPUS, run_case
+from make_audit_parity import CASES, CORPUS, REPRODUCE, run_case, run_reproduce
 
 EXIT_CODES = json.loads((CORPUS / "exit_codes.json").read_text(encoding="utf-8"))
 
 
 def test_corpus_holds_every_case():
-    assert sorted(EXIT_CODES) == sorted(CASES)
+    assert sorted(EXIT_CODES) == sorted([*CASES, REPRODUCE])
     assert sorted(p.stem for p in CORPUS.glob("*.json") if p.name != "exit_codes.json") == sorted(CASES)
 
 
@@ -25,3 +26,11 @@ def test_report_is_byte_identical(name):
     code, stdout = run_case(CASES[name])
     assert code == EXIT_CODES[name]
     assert stdout.encode("utf-8") == (CORPUS / f"{name}.json").read_bytes()
+
+
+def test_reproduce_files_are_byte_identical(tmp_path):
+    assert run_reproduce(tmp_path) == EXIT_CODES[REPRODUCE]
+    expected = sorted(p.name for p in (CORPUS / REPRODUCE).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (CORPUS / REPRODUCE / name).read_bytes(), name

@@ -790,6 +790,20 @@ class TestReproduceCommand:
         write_replication_outputs(tmp_path)
         assert len(calls) == harness
 
+    def test_replication_fits_each_dataset_once(self, monkeypatch):
+        from artindex import regression, replication
+
+        fitted = []
+
+        def counting_fit(ds, spec):
+            fitted.append(ds.periods)
+            return fit(ds, spec)
+
+        monkeypatch.setattr(regression, "fit", counting_fit)
+        monkeypatch.setattr(replication, "fit", counting_fit)
+        run_replication()
+        assert fitted == [("A", "B"), ("A", "C")]
+
     def test_index_plot_files_have_three_periods(self, tmp_path):
         write_replication_outputs(tmp_path)
         for name in ("index_levels_npgm.csv", "index_levels_hpm.csv"):

@@ -11,7 +11,6 @@ from artindex import (
     SaleObservation,
     ValidationError,
     partition_by_period,
-    restrict_to_periods,
     validate_dataset,
     with_period_relabeled,
     with_price_increments,
@@ -215,17 +214,3 @@ class TestTransforms:
     def test_relabel_absent_period(self, renoir):
         with pytest.raises(ValidationError, match="period 'Q' not present in dataset"):
             with_period_relabeled(renoir, "Q", "C")
-
-    def test_restrict(self, renoir):
-        only_b = restrict_to_periods(renoir, ["B"])
-        assert only_b.periods == ("B",)
-        assert len(only_b) == 15
-
-    def test_restrict_unknown_period(self, renoir):
-        with pytest.raises(ValidationError, match="'Q' not present"):
-            restrict_to_periods(renoir, ["Q"])
-
-    @pytest.mark.parametrize("periods, repeated", [(["A", "A"], "A"), (["B", "A", "B"], "B")])
-    def test_restrict_repeated_period(self, renoir, periods, repeated):
-        with pytest.raises(ValidationError, match=f"period '{repeated}' is listed twice"):
-            restrict_to_periods(renoir, periods)

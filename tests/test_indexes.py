@@ -3,29 +3,31 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artindex import (
+    InputSchema,
     ModelError,
     ModelSpec,
     SaleObservation,
     decompose_index,
     hpm_index_from_result,
     hpm_timedummy_index,
+    load_csv,
     npgm_index,
-    npgm_level,
     pinned_log_area_spec,
-    theta_factor,
     validate_dataset,
     with_price_increments,
 )
 from artindex import kernels, regression
+from artindex.indexes import _decomposition, _geometric_mean
 from artindex.regression import fit
 
-from conftest import EXAMPLE_SPEC, TABLE1
+from conftest import EXAMPLE_SPEC, TABLE1, generated_csv
 
 # frozen from the high-precision exp-mean-log oracle over the printed
 # unit-price column (40-digit arithmetic; C scales obs 29 by 1.5)
@@ -36,6 +38,11 @@ I_CA_ORACLE = 179.7165199260511
 
 def obs(id, period, price, area=10.0, ratio=1.0):
     return SaleObservation(id=id, period=period, price=price, area=area, aspect_ratio=ratio)
+
+
+def unit_price_level(ds, period: str) -> float:
+    """Geometric mean of the unitary prices of ``period``'s sales."""
+    return _geometric_mean((ds.price / ds.area)[ds.period_codes == ds.periods.index(period)])
 
 
 def two_period_dataset(seed: int, n_max: int = 20):
@@ -59,26 +66,33 @@ def two_period_dataset(seed: int, n_max: int = 20):
 
 
 class TestNpgmLevel:
+    """A period's npgm level: the geometric mean of its unitary prices."""
+
     def test_singleton_identity(self):
-        assert npgm_level([obs("1", "A", 14121.6, 10.0)]) == pytest.approx(1412.16)
+        ds = validate_dataset([obs("1", "A", 14121.6, 10.0), obs("2", "B", 50.0)])
+        assert unit_price_level(ds, "A") == pytest.approx(1412.16)
 
     def test_two_point_geometric_mean(self):
-        group = [obs("1", "A", 20.0, 10.0), obs("2", "A", 80.0, 10.0)]
-        assert npgm_level(group) == pytest.approx(4.0, rel=1e-12)
+        ds = validate_dataset(
+            [obs("1", "A", 20.0, 10.0), obs("2", "A", 80.0, 10.0), obs("3", "B", 10.0)]
+        )
+        assert unit_price_level(ds, "A") == pytest.approx(4.0, rel=1e-12)
 
     def test_bundled_period_a(self, renoir):
-        group = [o for o in renoir.observations if o.period == "A"]
-        level = npgm_level(group)
+        level = unit_price_level(renoir, "A")
         assert level == pytest.approx(NPGM_LEVEL_A_ORACLE, abs=0.05)
         assert level == pytest.approx(912, abs=1)
 
     def test_empty_period(self):
         with pytest.raises(ModelError, match="empty period"):
-            npgm_level([])
+            _geometric_mean(np.array([]))
 
     def test_log_space_survives_huge_prices(self):
-        group = [obs(str(i), "A", 1e300, 1.0) for i in range(8)]
-        assert npgm_level(group) == pytest.approx(1e300, rel=1e-12)
+        ds = validate_dataset(
+            [obs(str(i), "A", 1e300, 1.0) for i in range(8)] + [obs("8", "B", 1e300, 1.0)]
+        )
+        assert unit_price_level(ds, "A") == pytest.approx(1e300, rel=1e-12)
+        assert npgm_index(ds, "A").level("B") == pytest.approx(100.0, rel=1e-12)
 
 
 class TestNpgmIndex:
@@ -106,7 +120,7 @@ class TestNpgmIndex:
     def test_level_in_range_scales_before_dividing(self, renoir):
         # only a product past the float range divides first; in about a third
         # of these base values the two orders round differently
-        a, b = (npgm_level([o for o in renoir.observations if o.period == p]) for p in "AB")
+        a, b = (unit_price_level(renoir, p) for p in "AB")
         for base_value in np.random.default_rng(0).uniform(1.0, 1000.0, 200).tolist():
             assert npgm_index(renoir, "A", base_value).level("B") == base_value * b / a
 
@@ -153,6 +167,20 @@ class TestHpmIndex:
         monkeypatch.setattr(kernels, "regularized_incomplete_beta", no_p_values)
         got = [hpm_timedummy_index(ds, EXAMPLE_SPEC) for ds in (renoir, renoir_ac)]
         assert got == expected
+
+    def test_equals_the_fit_and_forms_no_q(self, tmp_path, monkeypatch):
+        path = generated_csv(tmp_path / "sales.csv", n_sales=600, n_periods=6)
+        ds = load_csv(path, InputSchema(extra_columns=("age_years",)))
+        spec = ModelSpec(reference_period="B", regressors=("area", "aspect_ratio", "age_years"))
+        expected = hpm_index_from_result(fit(ds, spec), ds, spec)
+        qr = np.linalg.qr
+
+        def r_only(a, mode="reduced"):
+            assert mode == "r", f"the index asked for a QR in mode {mode!r}"
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", r_only)
+        assert hpm_timedummy_index(ds, spec) == expected
 
     def test_constrained_model_equals_npgm_on_bundled(self, renoir, renoir_ac):
         for ds, base in ((renoir, "A"), (renoir_ac, "A")):
@@ -216,6 +244,13 @@ class TestMultiPeriod:
         report = decompose_index(three_periods, EXAMPLE_SPEC, "P0", "P2")
         assert report.identity_gap <= 1e-8
 
+    def test_decomposition_explains_the_full_models_dummy(self, three_periods):
+        report = decompose_index(three_periods, EXAMPLE_SPEC, "P0", "P2")
+        spec = replace(EXAMPLE_SPEC, reference_period="P0")
+        delta = fit(three_periods, spec).coefficient("dummy_P2")
+        assert report.exp_delta == math.exp(delta)
+        assert 100 * report.exp_delta == hpm_timedummy_index(three_periods, spec).level("P2")
+
     def test_constrained_equivalence_three_periods(self, three_periods):
         reference = npgm_index(three_periods, "P0")
         constrained = hpm_timedummy_index(three_periods, pinned_log_area_spec("P0"))
@@ -237,17 +272,14 @@ class TestThetaAndDecomposition:
         ]
         ds = validate_dataset(records)
         spec = ModelSpec(regressors=("area", "aspect_ratio"), reference_period="A")
-        result = fit(ds, spec)
-        assert theta_factor(result, ds, "A", "B", spec) == pytest.approx(1.0, rel=1e-12)
+        assert decompose_index(ds, spec, "A", "B").theta == pytest.approx(1.0, rel=1e-12)
 
     def test_dummy_only_model_theta_is_one(self, renoir):
         spec = ModelSpec(regressors=(), reference_period="A")
-        result = fit(renoir, spec)
-        assert theta_factor(result, renoir, "A", "B", spec) == 1.0
+        assert decompose_index(renoir, spec, "A", "B").theta == 1.0
 
     def test_theta_matches_direct_evaluation_from_printed_cells(self, renoir):
-        result = fit(renoir, EXAMPLE_SPEC)
-        theta = theta_factor(result, renoir, "A", "B", EXAMPLE_SPEC)
+        theta = decompose_index(renoir, EXAMPLE_SPEC, "A", "B").theta
         mean = lambda rows, col: math.fsum(r[col] for r in rows) / len(rows)
         rows_a = [r for r in TABLE1 if r[1] == "A"]
         rows_b = [r for r in TABLE1 if r[1] == "B"]
@@ -258,17 +290,24 @@ class TestThetaAndDecomposition:
         assert theta == pytest.approx(oracle, rel=5e-3)
 
     def test_theta_unknown_period(self, renoir):
-        result = fit(renoir, EXAMPLE_SPEC)
         with pytest.raises(ModelError, match="'Q' not present"):
-            theta_factor(result, renoir, "A", "Q", EXAMPLE_SPEC)
+            decompose_index(renoir, EXAMPLE_SPEC, "A", "Q").theta
 
     def test_equal_periods_are_refused_before_the_refit(self, renoir, monkeypatch):
         def refuse(*args):
-            raise AssertionError("decompose_index refitted")
+            raise AssertionError("decompose_index fitted")
 
         monkeypatch.setattr(regression, "fit", refuse)
         with pytest.raises(ModelError, match="periods must differ"):
             decompose_index(renoir, EXAMPLE_SPEC, "A", "A")
+
+    @pytest.mark.parametrize("period0, period1", [("A", "B"), ("B", "A")])
+    def test_reads_off_the_fit_with_period0_as_reference(self, renoir, period0, period1):
+        spec = replace(EXAMPLE_SPEC, reference_period=period0)
+        result = fit(renoir, spec)
+        report = decompose_index(renoir, EXAMPLE_SPEC, period0, period1)
+        assert report == _decomposition(result, renoir, spec, period1)
+        assert report.exp_delta == math.exp(result.coefficient(f"dummy_{period1}"))
 
     def test_identity_on_bundled_fits(self, renoir, renoir_ac):
         for ds, p1 in ((renoir, "B"), (renoir_ac, "C")):
