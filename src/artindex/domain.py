@@ -11,6 +11,7 @@ pure, so all of them are safe to use concurrently without locking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -213,18 +214,26 @@ def partition_by_period(ds: Dataset) -> dict[str, np.ndarray]:
     return {p: np.flatnonzero(ds.period_codes == q) for q, p in enumerate(ds.periods)}
 
 
+def is_finite_real(value: object) -> bool:
+    """Whether ``value`` is a finite real number, numpy scalars included, that a float can hold."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
     """Raise unless every increment is non-negative, for a known id, and leaves its price finite."""
     errors = []
     for obs_id, inc in increments.items():
         if obs_id not in ds._rows:
             errors.append(f"perturbation references unknown observation id {obs_id!r}")
-        elif not (isinstance(inc, (int, float)) and math.isfinite(inc) and inc >= 0):
+        elif not (is_finite_real(inc) and inc >= 0):
             errors.append(
                 f"perturbation for observation {obs_id!r} must be a "
                 f"non-negative finite number, got {inc!r}"
             )
-        elif not math.isfinite(float(ds.price[ds._rows[obs_id]]) + inc):
+        elif not math.isfinite(float(ds.price[ds._rows[obs_id]]) + float(inc)):
             errors.append(f"perturbation for observation {obs_id!r} overflows its price, got {inc!r}")
     if errors:
         raise ValidationError(errors)
@@ -245,10 +254,10 @@ def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Datas
 
 def with_price_scaled(ds: Dataset, obs_id: str, factor: float) -> Dataset:
     """Return a copy of ``ds`` with one observation's price multiplied by ``factor`` >= 1."""
-    if not (isinstance(factor, (int, float)) and math.isfinite(factor) and factor >= 1):
+    if not (is_finite_real(factor) and factor >= 1):
         raise ValidationError(f"price multiplier must be finite and at least 1, got {factor!r}")
     price = float(ds.price[ds.row(obs_id)])
-    return with_price_increments(ds, {obs_id: price * (factor - 1.0)})
+    return with_price_increments(ds, {obs_id: price * (float(factor) - 1.0)})
 
 
 def with_period_relabeled(ds: Dataset, old: str, new: str) -> Dataset:

@@ -17,9 +17,11 @@ audit therefore computes the index and W once (one QR for hpm), and a
 perturbed level exactly as ``level_before[q] * exp(W[q] @ x)`` with
 x = log(p + inc) - log p, with no refit. A grid perturbation raises one
 sale, so W[q] @ x is one product, and the grid computes all of them in one
-array pass. The random audit screens its trials in bulk and judges exactly
-only those flagged. Each violation an audit reports replays through
-:func:`check_monotonicity` bit for bit.
+array pass. The random audit scores each block of trials with one product
+against W, under a rounding margin fixed once per audit from its price box
+(every increment below its sale's price), and judges exactly only the
+trials whose score is not clear of that margin. Each violation an audit
+reports replays through :func:`check_monotonicity` bit for bit.
 The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
 draws, so the memory it holds for draws is bounded by that budget
 whatever the trial count; every block size yields the same draws.
@@ -37,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import Dataset, check_increments
+from .domain import Dataset, check_increments, is_finite_real
 from .errors import ModelError, ValidationError
 from .indexes import IndexMethod, two_period_rows
 from .regression import characteristic_column, student_t_two_sided_p
@@ -104,33 +106,7 @@ class _Levels:
         self._ds = ds
         self._log_prices = np.log(ds.price)
         self._level_before = np.array([self.before.levels[p] for p in ds.periods])
-        self._rounding = 4 * len(ds) * np.finfo(np.float64).eps
         self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
-
-    def flagged(
-        self, raised: np.ndarray, weights: np.ndarray, abs_weights: np.ndarray, perturbed: np.ndarray
-    ) -> np.ndarray:
-        """Positions, in batch order, of the trials :meth:`compare` must judge.
-
-        Trial k raises each audited sale ``targets[j]`` to ``raised[k, j]``;
-        ``perturbed[k, c]`` says whether it raised a sale of the period q
-        whose weight W[q, targets[j]] is ``weights[j, c]``, and
-        ``abs_weights`` is ``np.abs(weights)``.
-        """
-        # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare
-        # sums s over all n sales in one matvec (unraised sales add exactly 0:
-        # both logs read one value); this batch sums in another order, and its
-        # logs may differ from compare's by an ulp, eps * (|a| + |b|) a sale.
-        # Each side rounds x by eps/2 * |x|, and a dot product of n terms in
-        # any order by n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability
-        # of Numerical Algorithms, 2002, section 3.1): the two values of s
-        # differ by at most (n + 2) * eps * sum |W| (|a| + |b|) <= margin.
-        # Where s > margin, compare's s is positive, exp(s) >= 1 and no level
-        # falls; a non-finite s or margin fails that test and is flagged.
-        log_before, log_after = self._log_prices[self.targets], np.log(raised)
-        s = (log_after - log_before) @ weights
-        margin = self._rounding * ((np.abs(log_after) + np.abs(log_before)) @ abs_weights)
-        return np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
 
     def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
         """Every non-base level after adding ``increments`` (dataset order) to the prices.
@@ -241,7 +217,7 @@ def search_violations(
     if not grid:
         raise ModelError("multiplier grid must not be empty")
     for m in grid:
-        if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 1):
+        if not (is_finite_real(m) and m > 1):
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
     levels = _Levels(ds, method)
@@ -269,6 +245,24 @@ def search_violations(
     return MonotonicityReport(method=levels.before.method, trials=increments.size, violations=violations)
 
 
+def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per period, how far the random audit's score of a trial can sit from :meth:`_Levels.compare`'s."""
+    # n sales in all; log_prices and the rows of weights (weights[j, q] = W[q, j])
+    # are the audited ones.
+    # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare sums
+    # s over all n sales in one matvec (unraised sales add exactly 0: both
+    # logs read one value); the audit sums it in another order, and its logs
+    # may differ from compare's by an ulp, eps * (|a| + |b|) a sale. Each side
+    # rounds x by eps/2 * |x|, and a dot product of n terms in any order by
+    # n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, section 3.1): the two values of s differ by at most
+    # (n + 2) * eps * sum |W| (|a| + |b|). Every increment is a draw in [0, 1)
+    # times its sale's price, so a - b lies in [0, log 2] up to rounding and
+    # |a| + |b| < 2 |b| + 1: the bound below holds for every trial of the
+    # audit, with room for its own rounding.
+    return 4 * n * np.finfo(np.float64).eps * ((2 * np.abs(log_prices) + 1) @ np.abs(weights))
+
+
 def random_perturbation_audit(
     ds: Dataset, method: IndexMethod, trials: int, seed: int
 ) -> MonotonicityReport:
@@ -281,16 +275,16 @@ def random_perturbation_audit(
     each recorded violation carries its perturbation so it can be replayed
     through :func:`check_monotonicity`.
     """
-    if trials < 1:
-        raise ModelError(f"trials must be at least 1, got {trials}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(trials, bool) or not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ModelError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     levels = _Levels(ds, method)
     targets = levels.targets
-    prices = ds.price[targets]
+    prices, log_prices = ds.price[targets], levels._log_prices[targets]
     weights = levels._weights[:, targets].T
-    abs_weights = np.abs(weights)
+    margin = _rounding_margin(len(ds), log_prices, weights)
     # float, not bool: a float matmul runs on BLAS and counts raised sales exactly
     in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods))).astype(np.float64)
     step = max(1, _DRAW_BUDGET // (2 * len(targets)))
@@ -307,10 +301,13 @@ def random_perturbation_audit(
             raised = prices + block
         _check_raised(ds, targets, block, raised, lambda k, _: f"trial {start + k}")
         perturbed = ((block > 0) @ in_period) > 0
-        for offset in levels.flagged(raised, weights, abs_weights, perturbed).tolist():
+        # where s > margin, compare's s is positive, exp(s) >= 1 and no level
+        # falls; a non-finite s or margin fails that test and its trial is judged
+        s = (np.log(raised) - log_prices) @ weights
+        for offset in np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1)).tolist():
             violations += levels.judge(f"trial {start + offset}", targets, block[offset])[1]
     return MonotonicityReport(
-        method=levels.before.method, trials=trials, violations=tuple(violations)
+        method=levels.before.method, trials=int(trials), violations=tuple(violations)
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,6 +187,10 @@ class TestTransforms:
         with pytest.raises(ValidationError) as excinfo:
             with_price_scaled(renoir, "29", 0.5)
         assert str(excinfo.value) == "price multiplier must be finite and at least 1, got 0.5"
+
+    def test_price_scaling_takes_a_numpy_multiplier(self, renoir):
+        scaled = with_price_scaled(renoir, "29", np.int64(2))
+        assert scaled.by_id("29").price == with_price_scaled(renoir, "29", 2.0).by_id("29").price
 
     def test_increment_unknown_id(self, renoir):
         with pytest.raises(ValidationError, match="unknown observation id 'nope'"):

@@ -267,8 +267,8 @@ class TestScreen:
 
     def test_steps_below_the_rounding_margin_are_all_judged(self, renoir):
         # log(p * (1 + 2**-48)) - log p is a few ulps of log p: positive, but
-        # inside the random audit's screening margin, so only an exact level
-        # can tell whether it falls
+        # within rounding of zero, so only an exact level can tell whether it
+        # falls; the grid screens nothing and computes each such level exactly
         grid = [1.0 + 2.0**-52, 1.0 + 2.0**-48]
         for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
             report = search_violations(renoir, method, grid)
@@ -298,6 +298,29 @@ class TestScreen:
         # own-period negative hpm weights give violations to replay
         assert report.violations
 
+    @pytest.mark.parametrize("scale", [1.0, 1e250, 1e-250])
+    def test_rounding_margin_bounds_the_bundled_scores(self, renoir, scale):
+        # at 1e250 and 1e-250, |log p| is about 575 and the 2 |log p| + 1
+        # term of the margin dominates
+        ds = replace(renoir, price=renoir.price * scale)
+        assert_margin_bounds_the_scores(ds, EXAMPLE_SPEC)
+
+    def test_rounding_margin_bounds_the_scores_at_blas_sizes(self, tmp_path):
+        path = generated_csv(tmp_path / "sales.csv", n_sales=1500, n_periods=6, area_trend=1.0)
+        assert_margin_bounds_the_scores(
+            load_csv(path), ModelSpec(regressors=("area", "aspect_ratio"), reference_period="A")
+        )
+
+    @pytest.mark.parametrize("scale", [1e250, 1e-250])
+    def test_random_is_exact_at_extreme_prices(self, renoir, scale):
+        ds = replace(renoir, price=renoir.price * scale)
+        for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
+            with draw_step(ds, method, STEP):
+                report = random_perturbation_audit(ds, method, 200, 7)
+            assert_identical_reports(report, judge_every_random_perturbation(ds, method, 200, 7))
+        # the hpm audit, the last one, finds violations
+        assert report.violations
+
     def test_pinned_log_area_hpm_is_compliant_like_npgm(self, renoir):
         # its weights equal npgm's up to float noise, which must flag no level
         pinned, npgm = hpm_method(pinned_log_area_spec("A")), npgm_method("A")
@@ -320,6 +343,36 @@ class TestScreen:
         report = random_perturbation_audit(renoir, hpm_method(EXAMPLE_SPEC), 1000, 7)
         assert report.violations
         assert len(calls) == len({v.description for v in report.violations})
+
+
+def assert_margin_bounds_the_scores(ds, spec, blocks=3):
+    """The random audit's score of each trial and period is within its margin of :meth:`_Levels.compare`'s.
+
+    Draws ``blocks`` blocks of ``STEP`` trials for npgm and for hpm with
+    ``spec``, scores them as the audit does, and fails a zero margin: some
+    scores differ from compare's.
+    """
+    differ = False
+    for method in methods(ds, spec):
+        levels = monotonicity._Levels(ds, method)
+        targets = levels.targets
+        prices, log_prices = ds.price[targets], levels._log_prices[targets]
+        weights = levels._weights[:, targets].T
+        margin = monotonicity._rounding_margin(len(ds), log_prices, weights)
+        rng = np.random.default_rng(7)
+        for _ in range(blocks):
+            draws = rng.random((STEP, 2, len(targets)))
+            block = draws[:, 1] * prices
+            block *= draws[:, 0] >= 0.5
+            score = (np.log(prices + block) - log_prices) @ weights
+            for k in range(STEP):
+                increments = np.zeros(len(ds))
+                increments[targets] = block[k]
+                summed = levels._weights @ (np.log(ds.price + increments) - levels._log_prices)
+                gap = np.abs(score[k] - summed)
+                assert (gap <= margin).all()
+                differ |= bool(gap.any())
+    assert differ
 
 
 def assert_violations_replay(ds, method, report):

@@ -71,6 +71,17 @@ class TestCheckMonotonicity:
         with pytest.raises(ValidationError, match="no increments"):
             check_monotonicity(renoir, npgm_fn, Perturbation({}))
 
+    def test_numpy_increments_are_numbers(self, renoir, hpm_fn):
+        want = check_monotonicity(renoir, hpm_fn, Perturbation({"29": 1000.0}))
+        for inc in (np.int64(1000), np.float32(1000)):
+            assert check_monotonicity(renoir, hpm_fn, Perturbation({"29": inc})) == want
+
+    def test_int_past_the_float_range_is_refused(self, renoir, npgm_fn):
+        with pytest.raises(ValidationError, match="non-negative finite number"):
+            check_monotonicity(renoir, npgm_fn, Perturbation({"29": 10**400}))
+        with pytest.raises(ModelError, match="finite and > 1"):
+            search_violations(renoir, npgm_fn, [10**400])
+
     def test_multi_period_compares_each_non_base_period(self):
         rng = np.random.default_rng(5)
         records = []
@@ -135,6 +146,11 @@ class TestSearchViolations:
         with pytest.raises(ModelError, match="> 1"):
             search_violations(renoir, npgm_fn, [0.9])
 
+    def test_numpy_multipliers_are_numbers(self, renoir, hpm_fn):
+        want = search_violations(renoir, hpm_fn, [2.0, 3.0])
+        assert want.violations
+        assert search_violations(renoir, hpm_fn, np.array([2, 3])) == want
+
 
 class TestRandomAudit:
     def test_npgm_clean_over_1000_trials(self, renoir, npgm_fn):
@@ -180,6 +196,20 @@ class TestRandomAudit:
     def test_trials_must_be_positive(self, renoir, npgm_fn):
         with pytest.raises(ModelError, match="trials"):
             random_perturbation_audit(renoir, npgm_fn, trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_must_be_an_integer(self, renoir, npgm_fn, trials):
+        with pytest.raises(ModelError, match="trials must be a positive integer"):
+            random_perturbation_audit(renoir, npgm_fn, trials=trials, seed=7)
+
+    def test_seed_must_not_be_a_bool(self, renoir, npgm_fn):
+        with pytest.raises(ModelError, match="seed must be a non-negative integer"):
+            random_perturbation_audit(renoir, npgm_fn, trials=5, seed=True)
+
+    def test_numpy_trials_are_reported_as_an_int(self, renoir, hpm_fn):
+        report = random_perturbation_audit(renoir, hpm_fn, trials=np.int64(65), seed=3)
+        assert type(report.trials) is int
+        assert report == random_perturbation_audit(renoir, hpm_fn, trials=65, seed=3)
 
 
 class TestMelserDiagnostic:
