@@ -109,7 +109,7 @@ _BUILTIN_COLUMNS = ("price", "area", "aspect_ratio")
 def _floats(column: Sequence[object]) -> np.ndarray:
     if isinstance(column, np.ndarray):
         return column
-    return np.array([float(v) if isinstance(v, (int, float)) else math.nan for v in column])
+    return np.array([float(v) if is_finite_real(v) else math.nan for v in column])
 
 
 def _from_columns(
@@ -125,10 +125,10 @@ def _from_columns(
     must be positive and finite; ``extras`` maps each extra
     characteristic to its column, which must be finite. A column is a
     float64 array, or a sequence of raw values, where a value that is not
-    an int or a float is a problem too and messages quote values as
-    given. Ids must be distinct, and a supplied period order must list
-    each observed label once. Every problem is raised in one
-    :class:`ValidationError`, row by row.
+    a real number a float can hold (numpy scalars included) is a problem
+    too and messages quote values as given. Ids must be distinct, and a
+    supplied period order must list each observed label once. Every
+    problem is raised in one :class:`ValidationError`, row by row.
     """
     ids = tuple(ids)
     n = len(ids)

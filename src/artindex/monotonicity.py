@@ -20,8 +20,11 @@ sale, so W[q] @ x is one product, and the grid computes all of them in one
 array pass. The random audit scores each block of trials with one product
 against W, under a rounding margin fixed once per audit from its price box
 (every increment below its sale's price), and judges exactly only the
-trials whose score is not clear of that margin. Each violation an audit
-reports replays through :func:`check_monotonicity` bit for bit.
+trials whose score is not clear of that margin: all of a block's flagged
+trials in one array pass, with one ``W @ x`` matvec per trial, which is
+the sum :func:`check_monotonicity` computes for a block of one. Each
+violation an audit reports replays through :func:`check_monotonicity`
+bit for bit.
 The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
 draws, so the memory it holds for draws is bounded by that budget
 whatever the trial count; every block size yields the same draws.
@@ -108,40 +111,23 @@ class _Levels:
         self._level_before = np.array([self.before.levels[p] for p in ds.periods])
         self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
 
-    def compare(self, increments: np.ndarray, perturbed: set[str]) -> tuple[LevelComparison, ...]:
-        """Every non-base level after adding ``increments`` (dataset order) to the prices.
+    def after(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Every period's level after each trial of ``block``.
 
-        A period is compliant unless it is in ``perturbed`` and its level
-        fell by more than the relative slack.
+        Trial ``k`` adds ``block[k, j]`` to the price of sale ``rows[j]``.
         """
-        log_change = np.log(self._ds.price + increments) - self._log_prices
-        after = self._level_before * np.exp(self._weights @ log_change)
-        comparisons = []
-        for period, level_after in zip(self._ds.periods, after.tolist()):
-            if period == self.before.base_period:
-                continue
-            level_before = self.before.levels[period]
-            dropped = (level_before - level_after) > RELATIVE_SLACK * level_before
-            comparisons.append(
-                LevelComparison(
-                    period=period,
-                    level_before=level_before,
-                    level_after=level_after,
-                    compliant=period not in perturbed or not dropped,
-                )
-            )
-        return tuple(comparisons)
+        ds = self._ds
+        log_change = np.log(ds.price[rows] + block) - self._log_prices[rows]
+        x, s = np.zeros(len(ds)), np.empty((len(block), len(ds.periods)))
+        for k, change in enumerate(log_change):
+            x[rows] = change
+            # one matvec per trial: a k x n product may sum W[q] @ x in another order
+            s[k] = self._weights @ x
+        return self._level_before * np.exp(s)
 
-    def judge(
-        self, description: str, rows: np.ndarray, increments: np.ndarray
-    ) -> tuple[tuple[LevelComparison, ...], tuple[Violation, ...]]:
-        """:meth:`compare` after raising sale ``rows[j]`` by ``increments[j]``, and its violations."""
-        ds, full = self._ds, np.zeros(len(self._log_prices))
-        full[rows] = increments
-        codes, rows, increments = ds.period_codes[rows].tolist(), rows.tolist(), increments.tolist()
-        comparisons = self.compare(full, {ds.periods[q] for q, inc in zip(codes, increments) if inc > 0})
-        pert = Perturbation({ds.ids[i]: inc for i, inc in zip(rows, increments)})
-        return comparisons, violations_from(description, comparisons, pert)
+    def fell(self, after: np.ndarray) -> np.ndarray:
+        """Where a level after fell below its level before by more than the relative slack."""
+        return (self._level_before - after) > RELATIVE_SLACK * self._level_before
 
 
 def violations_from(
@@ -192,10 +178,18 @@ def check_monotonicity(
     if not pert.increments:
         raise ValidationError("perturbation has no increments")
     check_increments(ds, pert.increments)
-    rows = np.array([ds.row(obs_id) for obs_id in pert.increments])
-    increments = np.array([float(inc) for inc in pert.increments.values()])
+    levels = _Levels(ds, method)
+    rows = [ds.row(obs_id) for obs_id in pert.increments]
+    increments = [float(inc) for inc in pert.increments.values()]
     with np.errstate(over="ignore"):
-        comparisons, _ = _Levels(ds, method).judge("", rows, increments)
+        after = levels.after(np.array(rows), np.array([increments]))[0]
+    raised = {q for q, inc in zip(ds.period_codes[rows].tolist(), increments) if inc > 0}
+    base, fell = levels.before.base_period, levels.fell(after).tolist()
+    comparisons = tuple(
+        LevelComparison(period, levels.before.levels[period], level, q not in raised or not f)
+        for q, (period, level, f) in enumerate(zip(ds.periods, after.tolist(), fell))
+        if period != base
+    )
     for c in comparisons:
         if not (math.isfinite(c.level_after) and c.level_after > 0):
             raise ValidationError(f"perturbation pushes level {c.period!r} past the float range")
@@ -232,7 +226,7 @@ def search_violations(
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
         raised = ds.price[targets, None] + increments
         _check_raised(ds, targets[:, None], increments, raised, describe)
-        # x is exactly zero at every other sale, so compare's W @ x is W[own, i] * x_i
+        # x is exactly zero at every other sale, so the W @ x of _Levels.after is W[own, i] * x_i
         x = np.log(raised) - levels._log_prices[targets, None]
         after = before * np.exp(levels._weights[own, targets][:, None] * x)
     dropped = (before - after) > RELATIVE_SLACK * before
@@ -246,13 +240,13 @@ def search_violations(
 
 
 def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per period, how far the random audit's score of a trial can sit from :meth:`_Levels.compare`'s."""
+    """Per period, how far the random audit's score of a trial can sit from :meth:`_Levels.after`'s sum."""
     # n sales in all; log_prices and the rows of weights (weights[j, q] = W[q, j])
     # are the audited ones.
-    # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. compare sums
-    # s over all n sales in one matvec (unraised sales add exactly 0: both
-    # logs read one value); the audit sums it in another order, and its logs
-    # may differ from compare's by an ulp, eps * (|a| + |b|) a sale. Each side
+    # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. The exact judge
+    # sums s over all n sales in one matvec (unraised sales add exactly 0:
+    # both logs read one value); the score sums it in another order, and its
+    # logs may differ from the judge's by an ulp, eps * (|a| + |b|) a sale. Each side
     # rounds x by eps/2 * |x|, and a dot product of n terms in any order by
     # n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability of Numerical
     # Algorithms, 2002, section 3.1): the two values of s differ by at most
@@ -261,6 +255,31 @@ def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.
     # |a| + |b| < 2 |b| + 1: the bound below holds for every trial of the
     # audit, with room for its own rounding.
     return 4 * n * np.finfo(np.float64).eps * ((2 * np.abs(log_prices) + 1) @ np.abs(weights))
+
+
+def _random_violations(
+    levels: _Levels, trials: np.ndarray, block: np.ndarray, perturbed: np.ndarray
+) -> list[Violation]:
+    """The violations of random trials ``trials[k]``, raising the audited sales by ``block[k]``.
+
+    ``perturbed[k, q]`` says whether trial ``k`` raises a sale of period
+    ``q``. One :class:`Violation` per level that falls in such a period, in
+    trial order and then period order; the violations of one trial share
+    its perturbation.
+    """
+    ds, targets = levels._ds, levels.targets
+    after = levels.after(targets, block)
+    k, q = np.nonzero(perturbed & levels.fell(after))
+    if not k.size:
+        return []
+    ids = [ds.ids[i] for i in targets.tolist()]
+    perts = {j: Perturbation(dict(zip(ids, block[j].tolist()))) for j in set(k.tolist())}
+    periods = [ds.periods[p] for p in q.tolist()]
+    found = zip(k.tolist(), trials[k].tolist(), periods, after[k, q].tolist())
+    return [
+        Violation(f"trial {trial}", period, levels.before.levels[period], level, perts[j])
+        for j, trial, period, level in found
+    ]
 
 
 def random_perturbation_audit(
@@ -301,11 +320,14 @@ def random_perturbation_audit(
             raised = prices + block
         _check_raised(ds, targets, block, raised, lambda k, _: f"trial {start + k}")
         perturbed = ((block > 0) @ in_period) > 0
-        # where s > margin, compare's s is positive, exp(s) >= 1 and no level
-        # falls; a non-finite s or margin fails that test and its trial is judged
+        # where s > margin, the exact judge's s is positive, exp(s) >= 1 and no
+        # level falls; a non-finite s or margin fails that test and its trial is judged
         s = (np.log(raised) - log_prices) @ weights
-        for offset in np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1)).tolist():
-            violations += levels.judge(f"trial {start + offset}", targets, block[offset])[1]
+        flagged = np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
+        if flagged.size:
+            violations += _random_violations(
+                levels, start + flagged, block[flagged], perturbed[flagged]
+            )
     return MonotonicityReport(
         method=levels.before.method, trials=int(trials), violations=tuple(violations)
     )

@@ -7,14 +7,21 @@ their shortest representation that round-trips exactly (up to 17
 significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
 finite. ``Report.to_json`` writes it with ``_indented_json`` rather than
 ``json.dumps``, because an ``indent`` sends ``json.dumps`` to its
-pure-Python generator encoder before Python 3.13.
+pure-Python generator encoder before Python 3.13. The writer builds each
+container's text in one ``str.join``: an item that is a scalar of exactly
+``str``, ``int``, ``float``, ``bool`` or ``None`` type is written inline
+through a type-to-text table, and a container of two or more such
+scalars (under ``str`` keys) is written by the stdlib's C encoder, with
+``"," + indent`` between its items. Subclasses such as ``np.float64`` and
+non-``str`` keys are written after ``isinstance`` checks in json's order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _escape
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -66,14 +73,28 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _finite_floats(items, separator: str) -> str | None:
-    """The items' texts joined by ``separator`` if every item is a finite float, else None."""
-    try:
-        text = separator.join(map(float.__repr__, items))
-    except TypeError:  # an item is not a float
-        return None
-    # a finite float's text holds no "n"; "nan" and "inf" do
-    return None if "n" in text else text
+# the text of a scalar of exactly one of these types; a subclass (np.float64,
+# an IntEnum, a str subclass) takes the isinstance path of _text
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
+_STR = frozenset([str])
+
+
+@lru_cache(maxsize=None)
+def _scalar_items(separator: str):
+    """The stdlib's C encoder, with ``separator`` between a container's items and no indent.
+
+    Given a list of exact-type scalars it writes ``[a<separator>b]``, and
+    given a dict of them under ``str`` keys ``{"k": a<separator>"l": b}``,
+    each scalar as ``json.dumps`` does.
+    """
+    return c_make_encoder(None, None, _escape, None, ": ", separator, False, False, True)
 
 
 def _key_text(key) -> str:
@@ -91,59 +112,62 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write(o, indent: str, out: list[str]) -> None:
-    """Append the text of ``o``, whose own line starts with ``indent`` (a newline and spaces)."""
+def _text(o, indent: str) -> str:
+    """The text of ``o``, whose own line starts with ``indent`` (a newline and spaces).
+
+    A container's text is built in one join. An item that is an exact-type
+    scalar is written inline through ``_SCALAR_TEXT``, and any other item
+    by a call of its own; a container of two or more exact-type scalars
+    (under ``str`` keys) is written by the C encoder.
+    """
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        if (
+            len(o) > 1
+            and c_make_encoder
+            and _SCALARS.issuperset(map(type, o.values()))
+            and _STR.issuperset(map(type, o))
+        ):
+            return "{" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "}"
+        get = _SCALAR_TEXT.get
+        if len(o) == 1:  # a grid violation's perturbation: no comprehension to set up
+            ((k, v),) = o.items()
+            item = _escape(k if isinstance(k, str) else _key_text(k)) + ": "
+            item += f(v) if (f := get(type(v))) else _text(v, inner)
+            return "{" + inner + item + indent + "}"
+        items = [
+            _escape(k if isinstance(k, str) else _key_text(k))
+            + ": "
+            + (f(v) if (f := get(type(v))) else _text(v, inner))
+            for k, v in o.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        if len(o) > 1 and c_make_encoder and _SCALARS.issuperset(map(type, o)):
+            return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
+        get = _SCALAR_TEXT.get
+        items = [f(v) if (f := get(type(v))) else _text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    f = _SCALAR_TEXT.get(type(o))
+    if f is not None:
+        return f(o)
     if isinstance(o, str):
-        out.append(_escape(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        text = _finite_floats(o, "," + inner)
-        if text is not None:
-            out.append("[" + inner + text + indent + "]")
-            return
-        out.append("[")
-        separator = inner
-        for value in o:
-            out.append(separator)
-            separator = "," + inner
-            _write(value, inner, out)
-        out.append(indent + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        out.append("{")
-        separator = inner
-        for key, value in o.items():
-            if not isinstance(key, str):
-                key = _key_text(key)
-            out.append(separator + _escape(key) + ": ")
-            separator = "," + inner
-            _write(value, inner, out)
-        out.append(indent + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _indented_json(payload) -> str:
     """``json.dumps(payload, indent=2)``, byte for byte, for a tree (no cycle check)."""
-    out: list[str] = []
-    _write(payload, "\n", out)
-    return "".join(out)
+    return _text(payload, "\n")
 
 
 def index_series_dict(series: IndexSeries) -> dict:

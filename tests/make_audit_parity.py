@@ -1,8 +1,8 @@
 """Regenerate the expected outputs of the parity corpus.
 
 Each case in ``CASES`` is one ``artindex ... --format json`` command on the
-bundled data: the eight ``monotonicity`` audits, ``index --method hpm`` and
-``fit``. Its stdout is stored in ``tests/data/audit_parity/<name>.json`` and
+bundled data: the eight ``monotonicity`` audits, ``index`` for both methods
+and ``fit``. Its stdout is stored in ``tests/data/audit_parity/<name>.json`` and
 its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
 writes files rather than a report, so the files it writes (``summary.txt``
 and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
@@ -39,6 +39,7 @@ CASES = {
         for method in ("npgm", "hpm")
         for audit, argv in AUDITS.items()
     },
+    "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
     "fit": ["fit", "--format", "json"],
 }

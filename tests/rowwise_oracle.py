@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,8 +20,16 @@ from artindex import InputSchema, SaleObservation, ValidationError
 Records = tuple[tuple[SaleObservation, ...], tuple[str, ...]]
 
 
-def _positive_finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+def _finite(value: object) -> bool:
+    """A real number, numpy scalars included, finite as a float (an int past its range is not)."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _positive_finite(value: object) -> bool:
+    return _finite(value) and value > 0
 
 
 def _record_problems(obs: SaleObservation) -> list[str]:
@@ -36,7 +45,7 @@ def _record_problems(obs: SaleObservation) -> list[str]:
                 f"number, got {value!r}"
             )
     for name, value in obs.extra_characteristics.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not _finite(value):
             problems.append(
                 f"observation {obs.id!r}: characteristic {name!r} must be a "
                 f"finite number, got {value!r}"

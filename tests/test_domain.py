@@ -114,6 +114,25 @@ class TestValidateDataset:
         assert any("area" in m for m in messages)
         assert any("aspect_ratio" in m for m in messages)
 
+    @pytest.mark.parametrize("price", [np.float32(100.0), np.int64(100), np.float64(100.0)])
+    def test_numpy_scalars_are_numbers(self, price):
+        ds = validate_dataset([obs(id="1", price=price, extras={"condition": np.int8(3)})])
+        assert ds.price.tolist() == [100.0]
+        assert ds.extras["condition"].tolist() == [3.0]
+
+    def test_int_past_the_float_range_is_refused(self):
+        with pytest.raises(ValidationError) as excinfo:
+            validate_dataset(
+                [
+                    obs(id="1", price=10**400, extras={"condition": 1}),
+                    obs(id="2", extras={"condition": -(10**400)}),
+                ]
+            )
+        assert excinfo.value.errors == [
+            f"observation '1': price must be a positive finite number, got {10**400!r}",
+            f"observation '2': characteristic 'condition' must be a finite number, got {-(10**400)!r}",
+        ]
+
     def test_bad_extra_characteristic(self):
         with pytest.raises(ValidationError, match="characteristic 'condition'"):
             validate_dataset([obs(extras={"condition": float("nan")})])

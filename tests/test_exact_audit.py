@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from artindex import (
+    LevelComparison,
     ModelSpec,
     MonotonicityReport,
     Perturbation,
@@ -181,8 +182,30 @@ class TestParityWithRefit:
             )
 
 
+def exact_comparisons(levels, increments, perturbed):
+    """Every non-base level after adding ``increments`` (dataset order) to the prices, as defined.
+
+    A level after is ``level_before * exp(W @ (log(p + inc) - log p))``,
+    one matvec over all sales. A period is compliant unless it is in
+    ``perturbed`` and its level fell by more than the relative slack.
+    """
+    ds, before = levels._ds, levels.before
+    log_change = np.log(ds.price + increments) - levels._log_prices
+    after = levels._level_before * np.exp(levels._weights @ log_change)
+    comparisons = []
+    for period, level_after in zip(ds.periods, after.tolist()):
+        if period == before.base_period:
+            continue
+        level_before = before.levels[period]
+        dropped = (level_before - level_after) > monotonicity.RELATIVE_SLACK * level_before
+        comparisons.append(
+            LevelComparison(period, level_before, level_after, period not in perturbed or not dropped)
+        )
+    return tuple(comparisons)
+
+
 def judge_every_grid_perturbation(ds, method, grid):
-    """The grid audit with no screen: :meth:`_Levels.compare` on every perturbation."""
+    """The grid audit with no screen: :func:`exact_comparisons` of every perturbation."""
     levels = monotonicity._Levels(ds, method)
     violations = []
     trials = 0
@@ -194,7 +217,7 @@ def judge_every_grid_perturbation(ds, method, grid):
             increments = np.zeros(len(ds))
             increments[i] = obs.price * (m - 1.0)
             pert = Perturbation({obs.id: increments[i].item()})
-            comparisons = levels.compare(increments, {obs.period})
+            comparisons = exact_comparisons(levels, increments, {obs.period})
             violations += monotonicity.violations_from(f"obs {obs.id} price x{m:g}", comparisons, pert)
     return MonotonicityReport(levels.before.method, trials, tuple(violations))
 
@@ -213,7 +236,7 @@ def judge_every_random_perturbation(ds, method, trials, seed):
         increments[[ds.row(o.id) for o in targets]] = raised
         pert = Perturbation({o.id: inc for o, inc in zip(targets, raised.tolist())})
         perturbed = {o.period for o, inc in zip(targets, raised) if inc > 0}
-        comparisons = levels.compare(increments, perturbed)
+        comparisons = exact_comparisons(levels, increments, perturbed)
         violations += monotonicity.violations_from(f"trial {trial}", comparisons, pert)
     return MonotonicityReport(levels.before.method, trials, tuple(violations))
 
@@ -225,15 +248,16 @@ def assert_identical_reports(got, want):
     ]
 
 
-def count_compare(monkeypatch):
+def count_judged(monkeypatch):
+    """The number of trials in each block that the exact judge receives."""
     calls = []
-    compare = monotonicity._Levels.compare
+    after = monotonicity._Levels.after
 
-    def counting_compare(self, *args):
-        calls.append(1)
-        return compare(self, *args)
+    def counting_after(self, rows, block):
+        calls.append(len(block))
+        return after(self, rows, block)
 
-    monkeypatch.setattr(monotonicity._Levels, "compare", counting_compare)
+    monkeypatch.setattr(monotonicity._Levels, "after", counting_after)
     return calls
 
 
@@ -285,7 +309,7 @@ class TestScreen:
         )
 
     def test_grid_is_exact_at_blas_sizes(self, tmp_path):
-        # 1,500 sales take BLAS's blocked and SIMD matvec paths in compare,
+        # 1,500 sales take BLAS's blocked and SIMD matvec paths in W @ x,
         # which the small generated designs never reach
         path = generated_csv(tmp_path / "sales.csv", n_sales=1500, n_periods=6, area_trend=1.0)
         ds = load_csv(path)
@@ -332,25 +356,40 @@ class TestScreen:
             assert got.compliant and want.compliant and got.trials == want.trials
 
     def test_compliant_bundled_audits_judge_nothing(self, renoir, monkeypatch):
-        calls = count_compare(monkeypatch)
+        calls = count_judged(monkeypatch)
         method = npgm_method("A")
         assert search_violations(renoir, method).compliant
         assert random_perturbation_audit(renoir, method, 1000, 7).compliant
         assert calls == []
 
     def test_bundled_hpm_random_audit_judges_only_violating_trials(self, renoir, monkeypatch):
-        calls = count_compare(monkeypatch)
+        # the margin flags no trial that does not violate, and the one block
+        # of 1,000 trials hands all the flagged ones to the judge at once
+        calls = count_judged(monkeypatch)
         report = random_perturbation_audit(renoir, hpm_method(EXAMPLE_SPEC), 1000, 7)
         assert report.violations
-        assert len(calls) == len({v.description for v in report.violations})
+        assert calls == [len({v.description for v in report.violations})]
+
+    def test_random_is_exact_at_blas_sizes(self, tmp_path):
+        # 1,500 sales take BLAS's blocked and SIMD matvec paths in the judge
+        path = generated_csv(tmp_path / "sales.csv", n_sales=1500, n_periods=6, area_trend=1.0)
+        ds = load_csv(path)
+        hpm = hpm_method(ModelSpec(regressors=("area", "aspect_ratio"), reference_period="A"))
+        trials = 3 * STEP + 7
+        for method in (npgm_method("A"), hpm):
+            with draw_step(ds, method, STEP):
+                report = random_perturbation_audit(ds, method, trials, 7)
+            assert_identical_reports(report, judge_every_random_perturbation(ds, method, trials, 7))
+            assert_violations_replay(ds, method, report)
+            assert_judge_is_exact(ds, method)
 
 
 def assert_margin_bounds_the_scores(ds, spec, blocks=3):
-    """The random audit's score of each trial and period is within its margin of :meth:`_Levels.compare`'s.
+    """The random audit's score of each trial and period is within its margin of the exact sum.
 
     Draws ``blocks`` blocks of ``STEP`` trials for npgm and for hpm with
     ``spec``, scores them as the audit does, and fails a zero margin: some
-    scores differ from compare's.
+    scores differ from ``W @ x`` summed over all sales in one matvec.
     """
     differ = False
     for method in methods(ds, spec):
@@ -373,6 +412,36 @@ def assert_margin_bounds_the_scores(ds, spec, blocks=3):
                 assert (gap <= margin).all()
                 differ |= bool(gap.any())
     assert differ
+
+
+def assert_judge_is_exact(ds, method, trials=8):
+    """The exact judge on a block of trials gives :func:`exact_comparisons`'s levels bit for bit.
+
+    Even trials raise only sales of negative own-period weight, so their
+    levels fall whenever such a sale exists, however rare a random
+    violation is; odd trials raise every audited sale.
+    """
+    levels = monotonicity._Levels(ds, method)
+    targets = levels.targets
+    own = ds.period_codes[targets]
+    negative = levels._weights[own, targets] < 0
+    rng = np.random.default_rng(5)
+    block = rng.random((trials, len(targets))) * ds.price[targets]
+    block[::2] *= negative
+    after = levels.after(targets, block)
+    fell = levels.fell(after)
+    periods = [q for q, p in enumerate(ds.periods) if p != levels.before.base_period]
+    dropped = False
+    for k in range(trials):
+        increments = np.zeros(len(ds))
+        increments[targets] = block[k]
+        raised = set(own[block[k] > 0].tolist())
+        want = exact_comparisons(levels, increments, {ds.periods[q] for q in raised})
+        assert [(after[k, q].hex(), q not in raised or not fell[k, q]) for q in periods] == [
+            (c.level_after.hex(), c.compliant) for c in want
+        ]
+        dropped |= not all(c.compliant for c in want)
+    assert dropped == negative.any()
 
 
 def assert_violations_replay(ds, method, report):

@@ -242,7 +242,9 @@ def test_bundled_file_matches_rowwise_oracle():
 VALUES = st.one_of(
     st.floats(),
     st.integers(-3, 3),
-    st.sampled_from([True, None, "7", np.float32(2.0), np.float64(-1.5), np.int64(4)]),
+    st.sampled_from(
+        [True, None, "7", np.float32(2.0), np.float64(-1.5), np.int64(4), np.float32("inf"), 10**400]
+    ),
 )
 
 

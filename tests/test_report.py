@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artindex import report
 from artindex.report import Report, _indented_json
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]
@@ -65,28 +66,43 @@ def test_writer_matches_stdlib(tree):
     assert _indented_json(tree) == json.dumps(tree, indent=2)
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        {},
-        [],
-        {"a": {}, "b": [], "c": [[]], "d": [{}]},
-        [1.5, float("nan"), 2.5],
-        [float("-inf"), -0.0, 5e-324],
-        [np.float64(0.1), 1e16, 1e-7],
-        [1.0, True],
-        [True, 1.0],
-        [1.0, 2],
-        [1.0, "1.0"],
-        [[1.0, 2.0], [3.0, 4.0]],
-        2**64,
-        '"\\\x00é😀',
-        {1: "a", -(2**70): "b", 1.5: "c", float("nan"): "d", float("-inf"): "e", -0.0: "f"},
-        {True: 1, False: 2, None: 3, np.float64(0.1): 4},
-        {1: "int", "1": "str"},
-    ],
-)
+EDGE_TREES = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    [1.5, float("nan"), 2.5],
+    [float("-inf"), -0.0, 5e-324],
+    [np.float64(0.1), 1e16, 1e-7],
+    [1.0, True],
+    [True, 1.0],
+    [1.0, 2],
+    [1.0, "1.0"],
+    [[1.0, 2.0], [3.0, 4.0]],
+    2**64,
+    '"\\\x00é😀',
+    {1: "a", -(2**70): "b", 1.5: "c", float("nan"): "d", float("-inf"): "e", -0.0: "f"},
+    {True: 1, False: 2, None: 3, np.float64(0.1): 4},
+    {1: "int", "1": "str"},
+    # containers of exact-type scalars, which the C encoder writes, and
+    # the same with a subclass or a non-str key, which it does not
+    {"a": 1.0, "b": float("nan"), "c": None, "d": True, "e": 2**70, "f": '"\\é😀'},
+    ["x", None, False, -(2**70), -0.0, float("inf")],
+    {"a": np.float64(1.0), "b": 2.0},
+    {"a": 1.0, 2: 2.0},
+    {"a": {"b": 1.0}, "c": [[1.0]]},
+    {"a": {1.5: [1.0, None]}, "b": {"c": np.float64(2.0)}},
+]
+
+
+@pytest.mark.parametrize("tree", EDGE_TREES)
 def test_edge_trees_match_stdlib(tree):
+    assert _indented_json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", EDGE_TREES)
+def test_writer_needs_no_c_encoder(tree, monkeypatch):
+    # a Python without the _json accelerator writes every container item by item
+    monkeypatch.setattr(report, "c_make_encoder", None)
     assert _indented_json(tree) == json.dumps(tree, indent=2)
 
 
