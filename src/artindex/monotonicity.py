@@ -219,22 +219,25 @@ def search_violations(
     own = ds.period_codes[targets]
     before = levels._level_before[own, None]
 
-    def describe(t, g):
-        return f"obs {ds.ids[targets[t]]} price x{grid[g]:g}"
+    texts = [f"{m:g}" for m in grid]  # each multiplier spelled once
+
+    def describe(row, g):
+        return f"obs {ds.ids[row]} price x{texts[g]}"
 
     with np.errstate(over="ignore"):
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
         raised = ds.price[targets, None] + increments
-        _check_raised(ds, targets[:, None], increments, raised, describe)
+        _check_raised(ds, targets[:, None], increments, raised, lambda t, g: describe(targets[t], g))
         # x is exactly zero at every other sale, so the W @ x of _Levels.after is W[own, i] * x_i
         x = np.log(raised) - levels._log_prices[targets, None]
         after = before * np.exp(levels._weights[own, targets][:, None] * x)
     dropped = (before - after) > RELATIVE_SLACK * before
-    found = zip(*np.nonzero(dropped), after[dropped].tolist(), increments[dropped].tolist())
+    t, g = np.nonzero(dropped)
+    found = zip(targets[t].tolist(), g.tolist(), own[t].tolist(), before[t, 0].tolist(),
+                after[dropped].tolist(), increments[dropped].tolist())
     violations = tuple(
-        Violation(describe(t, g), ds.periods[own[t]], before[t, 0].item(), level,
-                  Perturbation({ds.ids[targets[t]]: inc}))
-        for t, g, level, inc in found
+        Violation(describe(row, m), ds.periods[q], level_before, level, Perturbation({ds.ids[row]: inc}))
+        for row, m, q, level_before, level, inc in found
     )
     return MonotonicityReport(method=levels.before.method, trials=increments.size, violations=violations)
 

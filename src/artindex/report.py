@@ -12,8 +12,11 @@ container's text in one ``str.join``: an item that is a scalar of exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None`` type is written inline
 through a type-to-text table, and a container of two or more such
 scalars (under ``str`` keys) is written by the stdlib's C encoder, with
-``"," + indent`` between its items. Subclasses such as ``np.float64`` and
-non-``str`` keys are written after ``isinstance`` checks in json's order.
+``"," + indent`` between its items. A record list (more dicts than
+keys, all under one tuple of ``str`` keys, such as an audit's violations)
+is written column by column, each record filled from one ``%`` template.
+Subclasses such as ``np.float64`` and non-``str`` keys are written after
+``isinstance`` checks in json's order.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Mapping
 
@@ -97,6 +101,39 @@ def _scalar_items(separator: str):
     return c_make_encoder(None, None, _escape, None, ": ", separator, False, False, True)
 
 
+def _column(values) -> list[str]:
+    """The text of each exact-type scalar of ``values``, from one C-encoder call."""
+    # "\n" between items: strings are ASCII-escaped, so no scalar's text holds one
+    return "".join(_scalar_items("\n")(values, 0))[1:-1].split("\n")
+
+
+def _records(o, inner: str) -> str:
+    """The items, each on ``inner``, of a record list: more dicts than keys, under one tuple of ``str`` keys.
+
+    One C-encoder call writes a column of exact-type scalars, and one each the keys and values of
+    a column of one-item ``{str: scalar}`` dicts; any other column is written item by item.
+    """
+    inner2, get = inner + "  ", _SCALAR_TEXT.get
+    fields, columns = [], []
+    for key, column in zip(o[0], zip(*map(dict.values, o))):
+        value = "%s"
+        if _SCALARS.issuperset(map(type, column)):
+            columns.append(_column(column))
+        elif (
+            set(map(type, column)) == {dict}
+            and set(map(len, column)) == {1}
+            and _STR.issuperset(map(type, keys := [*chain.from_iterable(column)]))
+            and _SCALARS.issuperset(map(type, values := [*chain.from_iterable(map(dict.values, column))]))
+        ):
+            value = "{" + inner2 + "  %s: %s" + inner2 + "}"
+            columns += _column(keys), _column(values)
+        else:
+            columns.append([f(v) if (f := get(type(v))) else _text(v, inner2) for v in column])
+        fields.append(inner2 + _escape(key).replace("%", "%%") + ": " + value)
+    template = "{" + ",".join(fields) + inner + "}"
+    return ("," + inner).join(map(template.__mod__, zip(*columns)))
+
+
 def _key_text(key) -> str:
     """The text json gives a non-``str`` dict key, in json's order of checks."""
     if isinstance(key, float):
@@ -117,8 +154,8 @@ def _text(o, indent: str) -> str:
 
     A container's text is built in one join. An item that is an exact-type
     scalar is written inline through ``_SCALAR_TEXT``, and any other item
-    by a call of its own; a container of two or more exact-type scalars
-    (under ``str`` keys) is written by the C encoder.
+    by a call of its own; a container of two or more exact-type scalars (under
+    ``str`` keys) is written by the C encoder, and a record list by ``_records``.
     """
     if isinstance(o, dict):
         if not o:
@@ -132,11 +169,6 @@ def _text(o, indent: str) -> str:
         ):
             return "{" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "}"
         get = _SCALAR_TEXT.get
-        if len(o) == 1:  # a grid violation's perturbation: no comprehension to set up
-            ((k, v),) = o.items()
-            item = _escape(k if isinstance(k, str) else _key_text(k)) + ": "
-            item += f(v) if (f := get(type(v))) else _text(v, inner)
-            return "{" + inner + item + indent + "}"
         items = [
             _escape(k if isinstance(k, str) else _key_text(k))
             + ": "
@@ -148,8 +180,13 @@ def _text(o, indent: str) -> str:
         if not o:
             return "[]"
         inner = indent + "  "
-        if len(o) > 1 and c_make_encoder and _SCALARS.issuperset(map(type, o)):
-            return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
+        if len(o) > 1 and c_make_encoder:
+            if _SCALARS.issuperset(map(type, o)):
+                return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
+            # by column only where that takes fewer encoder calls than by record
+            if type(o[0]) is dict and 0 < len(o[0]) < len(o) and set(map(type, o)) == {dict}:
+                if _STR.issuperset(map(type, o[0])) and len(set(map(tuple, o))) == 1:  # a record list
+                    return "[" + inner + _records(o, inner) + indent + "]"
         get = _SCALAR_TEXT.get
         items = [f(v) if (f := get(type(v))) else _text(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

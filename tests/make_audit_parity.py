@@ -1,9 +1,15 @@
 """Regenerate the expected outputs of the parity corpus.
 
-Each case in ``CASES`` is one ``artindex ... --format json`` command on the
+Each case in ``CASES`` is one ``artindex ... --format json`` command. On the
 bundled data: the eight ``monotonicity`` audits, ``index`` for both methods
-and ``fit``. Its stdout is stored in ``tests/data/audit_parity/<name>.json`` and
-its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
+and ``fit``. On ``PANEL_AUDIT``, 150 sales over four periods with a strong
+area trend (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4,
+area_trend=1.0)``, checked in so that the corpus does not hang on numpy's
+random stream): six multi-period ``monotonicity`` audits, each naming the
+file by its path from the repository root, which the report echoes. Every
+case runs from the repository root. Its stdout is stored in
+``tests/data/audit_parity/<name>.json`` and its exit status in
+``tests/data/audit_parity/exit_codes.json``. ``reproduce``
 writes files rather than a report, so the files it writes (``summary.txt``
 and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
 its exit status under the key ``reproduce``.
@@ -19,11 +25,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 from artindex.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).parent / "data" / "audit_parity"
+PANEL_AUDIT = "tests/data/audit_parity/panel_audit.csv"
 REPRODUCE = "reproduce"
 
 AUDITS = {
@@ -33,11 +42,24 @@ AUDITS = {
     "random_seed7": ["--mode", "random", "--trials", "1000", "--seed", "7"],
 }
 
+PANEL_AUDITS = {
+    "grid2": ["--mode", "grid", "--multipliers", "2"],
+    "grid": ["--mode", "grid"],
+    "random_seed1": ["--mode", "random", "--trials", "100", "--seed", "1"],
+}
+
 CASES = {
     **{
         f"{method}_{audit}": ["monotonicity", "--method", method, *argv, "--format", "json"]
         for method in ("npgm", "hpm")
         for audit, argv in AUDITS.items()
+    },
+    **{
+        f"{method}_panel_{audit}": [
+            "monotonicity", "--method", method, "--data", PANEL_AUDIT, *argv, "--format", "json",
+        ]
+        for method in ("npgm", "hpm")
+        for audit, argv in PANEL_AUDITS.items()
     },
     "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
@@ -46,10 +68,15 @@ CASES = {
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
-    """Exit status and stdout of one in-process ``artindex`` command."""
+    """Exit status and stdout of one in-process ``artindex`` command, run from ``ROOT``."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 

@@ -20,7 +20,7 @@ from artindex import (
     search_violations,
     validate_dataset,
 )
-from artindex.monotonicity import DEFAULT_MULTIPLIER_GRID
+from artindex.monotonicity import DEFAULT_MULTIPLIER_GRID, violations_from
 
 from conftest import EXAMPLE_SPEC
 
@@ -151,6 +151,13 @@ class TestSearchViolations:
         assert want.violations
         assert search_violations(renoir, hpm_fn, np.array([2, 3])) == want
 
+    @pytest.mark.parametrize("grid", [[1.0000000001, 2], np.array([1.0000000001, 2.0])])
+    def test_descriptions_spell_each_multiplier_with_g(self, renoir, hpm_fn, grid):
+        report = search_violations(renoir, hpm_fn, grid)
+        assert [v.description for v in report.violations] == [
+            f"obs {obs} price x{m}" for obs in ("25", "28", "29") for m in ("1", "2")
+        ]
+
 
 class TestRandomAudit:
     def test_npgm_clean_over_1000_trials(self, renoir, npgm_fn):
@@ -210,6 +217,31 @@ class TestRandomAudit:
         report = random_perturbation_audit(renoir, hpm_fn, trials=np.int64(65), seed=3)
         assert type(report.trials) is int
         assert report == random_perturbation_audit(renoir, hpm_fn, trials=65, seed=3)
+
+
+class TestViolationValues:
+    """Violations hold built-in ``str`` and ``float`` values, which the JSON writer encodes column by column."""
+
+    @staticmethod
+    def assert_built_in(violations):
+        assert violations
+        for v in violations:
+            assert (type(v.description), type(v.period)) == (str, str)
+            assert (type(v.level_before), type(v.level_after)) == (float, float)
+            assert {type(k) for k in v.perturbation.increments} == {str}
+            assert {type(x) for x in v.perturbation.increments.values()} == {float}
+
+    @pytest.mark.parametrize("grid", [DEFAULT_MULTIPLIER_GRID, np.array([1.5, 2.0]), [np.float32(1.5), 3]])
+    def test_grid(self, renoir, hpm_fn, grid):
+        self.assert_built_in(search_violations(renoir, hpm_fn, grid).violations)
+
+    def test_random(self, renoir, hpm_fn):
+        self.assert_built_in(random_perturbation_audit(renoir, hpm_fn, trials=200, seed=7).violations)
+
+    def test_single(self, renoir, hpm_fn):
+        # the single audit of the command line
+        pert = Perturbation({"29": float(renoir.price[renoir.row("29")]) * 0.5})
+        self.assert_built_in(violations_from("obs 29 price x1.5", check_monotonicity(renoir, hpm_fn, pert), pert))
 
 
 class TestMelserDiagnostic:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 
 import numpy as np
@@ -51,6 +52,59 @@ trees = st.recursive(
 )
 objects = st.dictionaries(keys, trees, max_size=3)
 
+# lists of 2-6 dicts under one tuple of str keys, such as an audit's
+# violations; the writer writes those with more dicts than keys column by column
+record_keys = st.one_of(st.sampled_from(["%", "%s", "%%d", '"', "\n", "é€😀", "", "a"]), texts)
+exact_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    texts,
+)
+# each column holds values of one kind, so that most columns are ones the
+# writer encodes in one call; the mixed kinds and near misses are not
+column_kinds = st.sampled_from(
+    [
+        exact_scalars,
+        scalars,
+        st.dictionaries(record_keys, exact_scalars, min_size=1, max_size=1),
+        st.dictionaries(keys, st.one_of(scalars, float_lists), min_size=1, max_size=1),
+        st.dictionaries(record_keys, exact_scalars, max_size=2),
+        float_lists,
+        trees,
+    ]
+)
+NEAR_MISSES = ["key order", "extra key", "non-str key", "list of the keys", "dict subclass", "scalar"]
+
+
+@st.composite
+def record_lists(draw, near_miss=False):
+    """2-6 dicts under one tuple of 1-4 str keys; with ``near_miss``, one record that breaks the shape."""
+    names = draw(st.lists(record_keys, min_size=2 if near_miss else 1, max_size=4, unique=True))
+    n = draw(st.integers(min_value=2, max_value=6))
+    columns = [draw(st.lists(draw(column_kinds), min_size=n, max_size=n)) for _ in names]
+    records = [dict(zip(names, row)) for row in zip(*columns)]
+    if near_miss:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        miss = draw(st.sampled_from(NEAR_MISSES))
+        if miss == "key order":
+            records[i] = dict(reversed(records[i].items()))
+        elif miss == "extra key":
+            records[i]["".join(names) + "+"] = draw(exact_scalars)
+        elif miss == "non-str key":
+            key = draw(st.sampled_from([1, 1.5, None, True]))
+            records[i] = {(key if k == names[0] else k): v for k, v in records[i].items()}
+        elif miss == "list of the keys":
+            records[i] = list(names)
+        elif miss == "dict subclass":
+            records[i] = collections.OrderedDict(records[i])
+        else:
+            records[i] = draw(exact_scalars)
+    return records
+
 
 @settings(max_examples=60, deadline=None)
 @given(command=texts, config=objects, body=objects, warnings=st.lists(texts, max_size=3))
@@ -66,6 +120,28 @@ def test_writer_matches_stdlib(tree):
     assert _indented_json(tree) == json.dumps(tree, indent=2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(records=st.one_of(record_lists(), record_lists().map(tuple), record_lists(near_miss=True)))
+def test_record_lists_match_stdlib(records):
+    tree = {"body": {"violations": records}}
+    assert _indented_json(records) == json.dumps(records, indent=2)
+    assert _indented_json(tree) == json.dumps(tree, indent=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "c_make_encoder", None)
+        assert _indented_json(tree) == json.dumps(tree, indent=2)
+
+
+class Name(str):
+    pass
+
+
+# a grid audit's violations: more records than keys, so written column by column
+VIOLATIONS = [
+    {"description": f"obs {obs} price x{m:g}", "period": "B", "level_before": 100.5, "level_after": 100.5 - m,
+     "perturbation": {obs: 1500.25 * m}}
+    for obs in ("25", "28", "29")
+    for m in (1.1, 2.0)
+]
 EDGE_TREES = [
     {},
     [],
@@ -91,6 +167,27 @@ EDGE_TREES = [
     {"a": 1.0, 2: 2.0},
     {"a": {"b": 1.0}, "c": [[1.0]]},
     {"a": {1.5: [1.0, None]}, "b": {"c": np.float64(2.0)}},
+    # record lists, which the C encoder writes column by column, and near misses
+    VIOLATIONS,
+    tuple(VIOLATIONS),
+    {"body": {"violations": VIOLATIONS}},
+    [{"%": 1, "%s": "%s", '"\n': None, "é€😀": 2**70, "": float("nan")}, {"%": -0.0, "%s": "%d", '"\n': True, "é€😀": -(2**70), "": float("-inf")}] * 3,
+    [{"a": {"x": 1.0}, "b": [1.0]}, {"a": {"y": np.float64(2.0)}, "b": [float("inf")]}, {"a": {"z": 3}, "b": []}],
+    [{"a": {1: 1.0}}, {"a": {"1": 2.0}}],
+    [{"a": {"x": 1.0}}, {"a": {"y": 2.0, "z": 3.0}}],
+    [{"a": {"x": [1.0]}}, {"a": {"y": {}}}],
+    [{"a": {}}, {"a": {"x": 1.0}}],
+    [{}, {}],
+    [{"a": 1, "b": 2}, {"a": 3, "b": 4}],
+    [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"b": 2, "a": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{1: "a"}, {1: "b"}],
+    [{"a": 1}, {1: "a"}],
+    [{"a": 1, "b": 2}, {"a": 3, "b": 4}, ["a", "b"]],
+    [{"a": 1}, collections.OrderedDict(a=2)],
+    [{"a": 1}, {Name("a"): 2}],
+    [{"a": 1}, None],
+    [*VIOLATIONS, {**VIOLATIONS[0], "level_after": np.float64(99.0)}],
 ]
 
 
