@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from importlib import resources
@@ -73,8 +74,9 @@ class InputSchema:
             )
 
 
+@functools.cache
 def bundled_data_path() -> Path:
-    """Filesystem path of the packaged Renoir 1989-1990 dataset."""
+    """Filesystem path of the packaged Renoir 1989-1990 dataset, looked up once."""
     return Path(str(resources.files("artindex").joinpath("data", BUNDLED_DATA_NAME)))
 
 

@@ -25,6 +25,9 @@ trials in one array pass, with one ``W @ x`` matvec per trial, which is
 the sum :func:`check_monotonicity` computes for a block of one. Each
 violation an audit reports replays through :func:`check_monotonicity`
 bit for bit.
+An audit keeps its violations as columns, one list per :class:`Violation`
+field from its array pass, which the report writes; the :class:`Violation`
+objects are built on first use.
 The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
 draws, so the memory it holds for draws is bounded by that budget
 whatever the trial count; every block size yields the same draws.
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -87,13 +91,55 @@ class Violation:
     perturbation: Perturbation
 
 
+class _Violations(Sequence):
+    """Violations as columns, one per :class:`Violation` field; a perturbation is its increments dict.
+
+    The :class:`Violation` objects are built on first use, then cached.
+    """
+
+    __slots__ = ("columns", "_built")
+
+    def __init__(self, *columns: list):
+        self.columns, self._built = columns or ([], [], [], [], []), None
+
+    def _violations(self) -> tuple[Violation, ...]:
+        if self._built is None:
+            self._built = tuple(Violation(*v[:4], Perturbation(v[4])) for v in zip(*self.columns))
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return self._violations()[i]
+
+    def __eq__(self, other):  # equal to a tuple of the same violations, on either side
+        if isinstance(other, _Violations):
+            other = other._violations()
+        return self._violations() == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._violations())
+
+
+def _violation_columns(violations: Sequence[Violation]) -> _Violations:
+    """``violations`` as columns: as they are, or copied with levels and increments as floats."""
+    if isinstance(violations, _Violations):
+        return violations
+    return _Violations(*zip(*(
+        (v.description, v.period, float(v.level_before), float(v.level_after),
+         {k: float(x) for k, x in v.perturbation.increments.items()})
+        for v in violations
+    )))
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Outcome of a violation search or random audit."""
 
     method: str
     trials: int
-    violations: tuple[Violation, ...]
+    violations: Sequence[Violation]
     melser_statistic: float | None = None
 
     @property
@@ -132,19 +178,13 @@ class _Levels:
 
 def violations_from(
     description: str, comparisons: Sequence[LevelComparison], pert: Perturbation
-) -> tuple[Violation, ...]:
-    """One :class:`Violation` per non-compliant comparison of one perturbation."""
-    return tuple(
-        Violation(
-            description=description,
-            period=c.period,
-            level_before=c.level_before,
-            level_after=c.level_after,
-            perturbation=pert,
-        )
-        for c in comparisons
-        if not c.compliant
-    )
+) -> Sequence[Violation]:
+    """One :class:`Violation` per non-compliant comparison of one perturbation, sharing its increments."""
+    bad = [c for c in comparisons if not c.compliant]
+    increments = {k: float(x) for k, x in pert.increments.items()}
+    periods = [c.period for c in bad]
+    before, after = [float(c.level_before) for c in bad], [float(c.level_after) for c in bad]
+    return _Violations([description] * len(bad), periods, before, after, [increments] * len(bad))
 
 
 def _check_raised(
@@ -233,11 +273,13 @@ def search_violations(
         after = before * np.exp(levels._weights[own, targets][:, None] * x)
     dropped = (before - after) > RELATIVE_SLACK * before
     t, g = np.nonzero(dropped)
-    found = zip(targets[t].tolist(), g.tolist(), own[t].tolist(), before[t, 0].tolist(),
-                after[dropped].tolist(), increments[dropped].tolist())
-    violations = tuple(
-        Violation(describe(row, m), ds.periods[q], level_before, level, Perturbation({ds.ids[row]: inc}))
-        for row, m, q, level_before, level, inc in found
+    rows = targets[t].tolist()
+    violations = _Violations(
+        list(map(describe, rows, g.tolist())),
+        [ds.periods[q] for q in own[t].tolist()],
+        before[t, 0].tolist(),
+        after[dropped].tolist(),
+        [{ds.ids[row]: inc} for row, inc in zip(rows, increments[dropped].tolist())],
     )
     return MonotonicityReport(method=levels.before.method, trials=increments.size, violations=violations)
 
@@ -262,27 +304,24 @@ def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.
 
 def _random_violations(
     levels: _Levels, trials: np.ndarray, block: np.ndarray, perturbed: np.ndarray
-) -> list[Violation]:
-    """The violations of random trials ``trials[k]``, raising the audited sales by ``block[k]``.
+) -> tuple[list, ...]:
+    """The violation columns of random trials ``trials[k]``, raising the audited sales by ``block[k]``.
 
     ``perturbed[k, q]`` says whether trial ``k`` raises a sale of period
-    ``q``. One :class:`Violation` per level that falls in such a period, in
-    trial order and then period order; the violations of one trial share
-    its perturbation.
+    ``q``. One violation per level that falls in such a period, in trial
+    order and then period order; the violations of one trial share its
+    increments dict.
     """
     ds, targets = levels._ds, levels.targets
     after = levels.after(targets, block)
     k, q = np.nonzero(perturbed & levels.fell(after))
-    if not k.size:
-        return []
     ids = [ds.ids[i] for i in targets.tolist()]
-    perts = {j: Perturbation(dict(zip(ids, block[j].tolist()))) for j in set(k.tolist())}
+    rows = k.tolist()
+    increments = {j: dict(zip(ids, block[j].tolist())) for j in set(rows)}
     periods = [ds.periods[p] for p in q.tolist()]
-    found = zip(k.tolist(), trials[k].tolist(), periods, after[k, q].tolist())
-    return [
-        Violation(f"trial {trial}", period, levels.before.levels[period], level, perts[j])
-        for j, trial, period, level in found
-    ]
+    descriptions = [f"trial {trial}" for trial in trials[k].tolist()]
+    before = [levels.before.levels[period] for period in periods]
+    return descriptions, periods, before, after[k, q].tolist(), [increments[j] for j in rows]
 
 
 def random_perturbation_audit(
@@ -311,7 +350,7 @@ def random_perturbation_audit(
     in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods))).astype(np.float64)
     step = max(1, _DRAW_BUDGET // (2 * len(targets)))
 
-    violations = []
+    violations = _Violations()
     for start in range(0, trials, step):
         # one draw per block yields the same stream as a coins draw and a
         # magnitudes draw per trial, whatever the block size
@@ -328,12 +367,10 @@ def random_perturbation_audit(
         s = (np.log(raised) - log_prices) @ weights
         flagged = np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
         if flagged.size:
-            violations += _random_violations(
-                levels, start + flagged, block[flagged], perturbed[flagged]
-            )
-    return MonotonicityReport(
-        method=levels.before.method, trials=int(trials), violations=tuple(violations)
-    )
+            found = _random_violations(levels, start + flagged, block[flagged], perturbed[flagged])
+            for column, new in zip(violations.columns, found):
+                column += new
+    return MonotonicityReport(method=levels.before.method, trials=int(trials), violations=violations)
 
 
 def melser_diagnostic(

@@ -250,8 +250,8 @@ def _replicate(
 
     # monotonicity: the time-dummy index must violate at the known spots
     hpm_sweep = search_violations(ds_ab, hpm_method(EXAMPLE_SPEC), DEFAULT_MULTIPLIER_GRID)
-    descriptions = {v.description for v in hpm_sweep.violations}
-    violating_ids = {next(iter(v.perturbation.increments)) for v in hpm_sweep.violations}
+    descriptions, _, _, _, increments = hpm_sweep.violations.columns
+    violating_ids = {next(iter(inc)) for inc in increments}
     hit = f"obs {PERTURBED_OBSERVATION} price x{PERTURBED_MULTIPLIER:g}" in descriptions
     check(
         "hpm_obs29_violation",

@@ -1,7 +1,7 @@
 """Report container and serialization for the command-line surface.
 
-Reports hold plain JSON-ready data so that serializing and re-parsing
-reproduces an equal report, byte for byte given equal inputs. The text
+Reports hold JSON-ready data (an audit's violations as ``_Records``
+columns); equal inputs give equal text, byte for byte. The text
 is exactly ``json.dumps(payload, indent=2)``: floats are written as
 their shortest representation that round-trips exactly (up to 17
 significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
@@ -12,9 +12,11 @@ container's text in one ``str.join``: an item that is a scalar of exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None`` type is written inline
 through a type-to-text table, and a container of two or more such
 scalars (under ``str`` keys) is written by the stdlib's C encoder, with
-``"," + indent`` between its items. A record list (more dicts than
-keys, all under one tuple of ``str`` keys, such as an audit's violations)
-is written column by column, each record filled from one ``%`` template.
+``"," + indent`` between its items. A record list (more records than
+keys, all under one tuple of ``str`` keys) is written column by column,
+each record filled from one ``%`` template: ``_records`` takes the keys
+and one column per key, transposed from a list of same-keyed dicts or
+kept as columns from the start, as an audit's violations are.
 Subclasses such as ``np.float64`` and non-``str`` keys are written after
 ``isinstance`` checks in json's order.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .indexes import IndexSeries
@@ -107,18 +109,29 @@ def _column(values) -> list[str]:
     return "".join(_scalar_items("\n")(values, 0))[1:-1].split("\n")
 
 
-def _records(o, inner: str) -> str:
-    """The items, each on ``inner``, of a record list: more dicts than keys, under one tuple of ``str`` keys.
+@dataclass
+class _Records:
+    """A record list kept as columns: record ``i`` maps ``keys[j]`` to ``columns[j][i]``."""
+
+    keys: tuple[str, ...]
+    columns: Sequence
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _records(keys, columns, inner: str) -> str:
+    """The items, each on ``inner``, of the records under ``str`` keys ``keys``, one column per key.
 
     One C-encoder call writes a column of exact-type scalars, and one each the keys and values of
     a column of one-item ``{str: scalar}`` dicts; any other column is written item by item.
     """
     inner2, get = inner + "  ", _SCALAR_TEXT.get
-    fields, columns = [], []
-    for key, column in zip(o[0], zip(*map(dict.values, o))):
+    fields, texts = [], []
+    for key, column in zip(keys, columns):
         value = "%s"
         if _SCALARS.issuperset(map(type, column)):
-            columns.append(_column(column))
+            texts.append(_column(column))
         elif (
             set(map(type, column)) == {dict}
             and set(map(len, column)) == {1}
@@ -126,12 +139,12 @@ def _records(o, inner: str) -> str:
             and _SCALARS.issuperset(map(type, values := [*chain.from_iterable(map(dict.values, column))]))
         ):
             value = "{" + inner2 + "  %s: %s" + inner2 + "}"
-            columns += _column(keys), _column(values)
+            texts += _column(keys), _column(values)
         else:
-            columns.append([f(v) if (f := get(type(v))) else _text(v, inner2) for v in column])
+            texts.append([f(v) if (f := get(type(v))) else _text(v, inner2) for v in column])
         fields.append(inner2 + _escape(key).replace("%", "%%") + ": " + value)
     template = "{" + ",".join(fields) + inner + "}"
-    return ("," + inner).join(map(template.__mod__, zip(*columns)))
+    return ("," + inner).join(map(template.__mod__, zip(*texts)))
 
 
 def _key_text(key) -> str:
@@ -186,13 +199,17 @@ def _text(o, indent: str) -> str:
             # by column only where that takes fewer encoder calls than by record
             if type(o[0]) is dict and 0 < len(o[0]) < len(o) and set(map(type, o)) == {dict}:
                 if _STR.issuperset(map(type, o[0])) and len(set(map(tuple, o))) == 1:  # a record list
-                    return "[" + inner + _records(o, inner) + indent + "]"
+                    return "[" + inner + _records(o[0], zip(*map(dict.values, o)), inner) + indent + "]"
         get = _SCALAR_TEXT.get
         items = [f(v) if (f := get(type(v))) else _text(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     f = _SCALAR_TEXT.get(type(o))
     if f is not None:
         return f(o)
+    if type(o) is _Records:
+        if c_make_encoder and len(o) > len(o.keys):  # by column where that takes fewer encoder calls
+            return "[" + indent + "  " + _records(o.keys, o.columns, indent + "  ") + indent + "]"
+        return _text([dict(zip(o.keys, r)) for r in zip(*o.columns)], indent)
     if isinstance(o, str):
         return _escape(o)
     if isinstance(o, int):
@@ -238,24 +255,20 @@ def regression_result_dict(result: RegressionResult) -> dict:
     }
 
 
+_VIOLATION_KEYS = ("description", "period", "level_before", "level_after", "perturbation")
+
+
 def monotonicity_report_dict(
     report: MonotonicityReport,
     comparisons: tuple[LevelComparison, ...] | None = None,
 ) -> dict:
+    from .monotonicity import _violation_columns
+
     body = {
         "method": report.method,
         "trials": report.trials,
         "compliant": report.compliant,
-        "violations": [
-            {
-                "description": v.description,
-                "period": v.period,
-                "level_before": float(v.level_before),
-                "level_after": float(v.level_after),
-                "perturbation": {k: float(x) for k, x in v.perturbation.increments.items()},
-            }
-            for v in report.violations
-        ],
+        "violations": _Records(_VIOLATION_KEYS, _violation_columns(report.violations).columns),
         "melser_statistic": report.melser_statistic,
     }
     if comparisons is not None:
@@ -322,11 +335,9 @@ def render_monotonicity_table(body: dict) -> str:
             f"{cmp['level_after']:.4f} "
             f"({'ok' if cmp['compliant'] else 'VIOLATION'})"
         )
-    if body["violations"]:
-        lines.append(f"violations ({len(body['violations'])}):")
-        for v in body["violations"]:
-            lines.append(
-                f"  {v['description']}: period {v['period']} level "
-                f"{v['level_before']:.4f} -> {v['level_after']:.4f}"
-            )
+    violations = body["violations"]
+    if violations:
+        lines.append(f"violations ({len(violations)}):")
+        for description, period, before, after, _ in zip(*violations.columns):
+            lines.append(f"  {description}: period {period} level {before:.4f} -> {after:.4f}")
     return "\n".join(lines)

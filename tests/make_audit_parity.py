@@ -6,10 +6,11 @@ and ``fit``. On ``PANEL_AUDIT``, 150 sales over four periods with a strong
 area trend (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4,
 area_trend=1.0)``, checked in so that the corpus does not hang on numpy's
 random stream): six multi-period ``monotonicity`` audits, each naming the
-file by its path from the repository root, which the report echoes. Every
+file by its path from the repository root, which the report echoes. Four
+more cases (``TABLES``) print hpm audits with ``--format table``. Every
 case runs from the repository root. Its stdout is stored in
-``tests/data/audit_parity/<name>.json`` and its exit status in
-``tests/data/audit_parity/exit_codes.json``. ``reproduce``
+``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table, and
+its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
 writes files rather than a report, so the files it writes (``summary.txt``
 and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
 its exit status under the key ``reproduce``.
@@ -48,6 +49,13 @@ PANEL_AUDITS = {
     "random_seed1": ["--mode", "random", "--trials", "100", "--seed", "1"],
 }
 
+TABLES = {
+    "grid": AUDITS["grid"],
+    "random_seed7": AUDITS["random_seed7"],
+    "single_obs29": AUDITS["single_obs29"],
+    "panel_grid2": ["--data", PANEL_AUDIT, *PANEL_AUDITS["grid2"]],
+}
+
 CASES = {
     **{
         f"{method}_{audit}": ["monotonicity", "--method", method, *argv, "--format", "json"]
@@ -61,10 +69,19 @@ CASES = {
         for method in ("npgm", "hpm")
         for audit, argv in PANEL_AUDITS.items()
     },
+    **{
+        f"hpm_{audit}_table": ["monotonicity", "--method", "hpm", *argv, "--format", "table"]
+        for audit, argv in TABLES.items()
+    },
     "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
     "fit": ["fit", "--format", "json"],
 }
+
+
+def case_path(name: str) -> Path:
+    """Where the expected stdout of case ``name`` is stored: ``.txt`` for a table, else ``.json``."""
+    return CORPUS / f"{name}.{'txt' if CASES[name][-1] == 'table' else 'json'}"
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
@@ -91,7 +108,7 @@ def write_corpus() -> None:
     codes = {}
     for name, argv in CASES.items():
         codes[name], stdout = run_case(argv)
-        (CORPUS / f"{name}.json").write_text(stdout, encoding="utf-8", newline="\n")
+        case_path(name).write_text(stdout, encoding="utf-8", newline="\n")
     codes[REPRODUCE] = run_reproduce(CORPUS / REPRODUCE)
     (CORPUS / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 

@@ -39,7 +39,8 @@ def _compare(before: IndexSeries, after: IndexSeries, perturbed: set[str]) -> li
     return comparisons
 
 
-def _violations(description: str, comparisons, pert: Perturbation) -> list[Violation]:
+def eager_violations(description: str, comparisons, pert: Perturbation) -> list[Violation]:
+    """One :class:`Violation` per non-compliant comparison, each built at once."""
     return [
         Violation(description, c.period, c.level_before, c.level_after, pert)
         for c in comparisons
@@ -67,7 +68,7 @@ def refit_search(
             trials += 1
             pert = Perturbation({obs.id: obs.price * (m - 1.0)})
             after = index_fn(with_price_increments(ds, pert.increments))
-            violations += _violations(
+            violations += eager_violations(
                 f"obs {obs.id} price x{m:g}", _compare(before, after, {obs.period}), pert
             )
     return MonotonicityReport(before.method, trials, tuple(violations))
@@ -88,5 +89,5 @@ def refit_random(ds: Dataset, index_fn: IndexFunction, trials: int, seed: int) -
         if not perturbed:
             continue
         after = index_fn(with_price_increments(ds, pert.increments))
-        violations += _violations(f"trial {trial}", _compare(before, after, perturbed), pert)
+        violations += eager_violations(f"trial {trial}", _compare(before, after, perturbed), pert)
     return MonotonicityReport(before.method, trials, tuple(violations))

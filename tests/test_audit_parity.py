@@ -1,6 +1,7 @@
 """Reports and files on the bundled data, byte for byte against the checked-in corpus.
 
-The expected stdout and exit status of each case, and the files that
+The expected stdout (JSON, or text for the ``--format table`` cases) and
+exit status of each case, and the files that
 ``reproduce`` writes, live in ``tests/data/audit_parity``;
 ``tests/make_audit_parity.py`` regenerates them.
 """
@@ -11,21 +12,23 @@ import json
 
 import pytest
 
-from make_audit_parity import CASES, CORPUS, REPRODUCE, run_case, run_reproduce
+from make_audit_parity import CASES, CORPUS, REPRODUCE, case_path, run_case, run_reproduce
 
 EXIT_CODES = json.loads((CORPUS / "exit_codes.json").read_text(encoding="utf-8"))
 
 
 def test_corpus_holds_every_case():
     assert sorted(EXIT_CODES) == sorted([*CASES, REPRODUCE])
-    assert sorted(p.stem for p in CORPUS.glob("*.json") if p.name != "exit_codes.json") == sorted(CASES)
+    stored = [p for p in [*CORPUS.glob("*.json"), *CORPUS.glob("*.txt")] if p.name != "exit_codes.json"]
+    assert sorted(stored) == sorted(case_path(name) for name in CASES)
+    assert sum(p.suffix == ".txt" for p in stored) == 4
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name):
     code, stdout = run_case(CASES[name])
     assert code == EXIT_CODES[name]
-    assert stdout.encode("utf-8") == (CORPUS / f"{name}.json").read_bytes()
+    assert stdout.encode("utf-8") == case_path(name).read_bytes()
 
 
 def test_reproduce_files_are_byte_identical(tmp_path):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import replace
@@ -27,10 +30,13 @@ from artindex import (
     search_violations,
     validate_dataset,
 )
-from artindex import monotonicity
+from artindex import Violation, monotonicity
+from artindex.cli import main
+from artindex import report as report_module
+from artindex.report import Report, monotonicity_report_dict
 
 from conftest import EXAMPLE_SPEC, generated_csv
-from refit_oracle import refit_check, refit_random, refit_search
+from refit_oracle import eager_violations, refit_check, refit_random, refit_search
 
 LEVEL_RTOL = 1e-12
 
@@ -218,7 +224,7 @@ def judge_every_grid_perturbation(ds, method, grid):
             increments[i] = obs.price * (m - 1.0)
             pert = Perturbation({obs.id: increments[i].item()})
             comparisons = exact_comparisons(levels, increments, {obs.period})
-            violations += monotonicity.violations_from(f"obs {obs.id} price x{m:g}", comparisons, pert)
+            violations += eager_violations(f"obs {obs.id} price x{m:g}", comparisons, pert)
     return MonotonicityReport(levels.before.method, trials, tuple(violations))
 
 
@@ -237,7 +243,7 @@ def judge_every_random_perturbation(ds, method, trials, seed):
         pert = Perturbation({o.id: inc for o, inc in zip(targets, raised.tolist())})
         perturbed = {o.period for o, inc in zip(targets, raised) if inc > 0}
         comparisons = exact_comparisons(levels, increments, perturbed)
-        violations += monotonicity.violations_from(f"trial {trial}", comparisons, pert)
+        violations += eager_violations(f"trial {trial}", comparisons, pert)
     return MonotonicityReport(levels.before.method, trials, tuple(violations))
 
 
@@ -607,3 +613,137 @@ class TestRankDeficiency:
                 audit()
             assert str(from_audit.value) == str(from_fit.value)
             assert from_audit.value.column == from_fit.value.column
+
+
+def report_json(report):
+    return Report("monotonicity", {}, monotonicity_report_dict(report)).to_json()
+
+
+def assert_equal_both_ways(got, want):
+    assert got == want and want == got
+    assert not (got != want or want != got)
+
+
+@contextmanager
+def count_violations():
+    """The arguments of each :class:`Violation` built while the context is open."""
+    built = []
+    violation = monotonicity.Violation
+
+    def counting(*args):
+        built.append(args)
+        return violation(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monotonicity, "Violation", counting)
+        yield built
+
+
+class TestLazyViolations:
+    """Violations kept as columns against the tuples the oracles build, and the JSON they write."""
+
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @HYPOTHESIS
+    def test_violations_equal_the_eager_tuples(self, design, seed, data):
+        ds, spec = design
+        obs = data.draw(st.sampled_from(ds.observations), label="single obs")
+        pert = Perturbation({obs.id: 1.5 * obs.price})
+        for method in methods(ds, spec):
+            with draw_step(ds, method, STEP):
+                random = random_perturbation_audit(ds, method, STEP + 3, seed)
+            comparisons = check_monotonicity(ds, method, pert)
+            audits = [
+                (search_violations(ds, method, [1.3, 2.5]), judge_every_grid_perturbation(ds, method, [1.3, 2.5])),
+                (random, judge_every_random_perturbation(ds, method, STEP + 3, seed)),
+                (
+                    MonotonicityReport(random.method, 1, monotonicity.violations_from("single", comparisons, pert)),
+                    MonotonicityReport(random.method, 1, tuple(eager_violations("single", comparisons, pert))),
+                ),
+            ]
+            for got, want in audits:
+                assert isinstance(want.violations, tuple)
+                assert_equal_both_ways(got.violations, want.violations)
+                assert_equal_both_ways(got, want)
+                assert report_json(got) == report_json(want)
+                # the columns write what json.dumps writes for one dict per violation
+                records = [
+                    {
+                        "description": v.description,
+                        "period": v.period,
+                        "level_before": v.level_before,
+                        "level_after": v.level_after,
+                        "perturbation": dict(v.perturbation.increments),
+                    }
+                    for v in want.violations
+                ]
+                assert json.loads(report_json(got))["body"]["violations"] == records
+                assert report_json(got) == json.dumps(json.loads(report_json(want)), indent=2)
+
+    def test_sequence_protocol(self, renoir):
+        method = hpm_method(EXAMPLE_SPEC)
+        grid = monotonicity.DEFAULT_MULTIPLIER_GRID
+        for got, want in (
+            (search_violations(renoir, method).violations, judge_every_grid_perturbation(renoir, method, grid).violations),
+            (
+                random_perturbation_audit(renoir, method, 1000, 7).violations,
+                judge_every_random_perturbation(renoir, method, 1000, 7).violations,
+            ),
+        ):
+            assert len(got) == len(want) > 3 and bool(got)
+            assert (got[0], got[-1], got[1]) == (want[0], want[-1], want[1])
+            assert_equal_both_ways(got[:3], want[:3])
+            assert tuple(got) == want and list(got) == list(want)
+            # built once, on first use
+            assert got[2] is got[2] and next(iter(got)) is got[0]
+        npgm = search_violations(renoir, npgm_method("A")).violations
+        assert len(npgm) == 0 and not npgm and npgm == () and list(npgm) == []
+
+    def test_compliance_and_json_build_no_violation(self, renoir, capsys):
+        method = hpm_method(EXAMPLE_SPEC)
+        pert = Perturbation({"29": 10.0})
+        with count_violations() as built:
+            reports = [
+                search_violations(renoir, method),
+                random_perturbation_audit(renoir, method, 1000, 7),
+                MonotonicityReport("hpm", 1, monotonicity.violations_from(
+                    "single", check_monotonicity(renoir, method, pert), pert
+                )),
+            ]
+            assert not any(report.compliant for report in reports)
+            for report in reports:
+                report_json(report)
+            for mode in (["--mode", "grid"], ["--mode", "random", "--trials", "1000", "--seed", "7"], ["--obs", "29"]):
+                assert main(["monotonicity", "--method", "hpm", *mode, "--format", "json"]) == 4
+            assert built == []
+            # the count sees the violations that are built
+            assert len(list(reports[0].violations)) == len(built) == 60
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("c_encoder", [True, False])
+    def test_hand_built_report_writes_the_audits_json(self, renoir, monkeypatch, c_encoder):
+        if not c_encoder:
+            monkeypatch.setattr(report_module, "c_make_encoder", None)
+        method = hpm_method(EXAMPLE_SPEC)
+        pert = Perturbation({"29": 10.0})
+        for report in (
+            search_violations(renoir, method),
+            random_perturbation_audit(renoir, method, 1000, 7),
+            MonotonicityReport("hpm", 1, monotonicity.violations_from(
+                "single", check_monotonicity(renoir, method, pert), pert
+            )),
+            search_violations(renoir, npgm_method("A")),
+        ):
+            by_hand = MonotonicityReport(report.method, report.trials, tuple(report.violations))
+            assert report_json(by_hand) == report_json(report) == json.dumps(json.loads(report_json(report)), indent=2)
+            with_melser = replace(report, melser_statistic=0.25)
+            assert with_melser.violations is report.violations
+            assert report_json(replace(by_hand, melser_statistic=0.25)) == report_json(with_melser)
+        # numpy levels and integer increments are written as floats, as before
+        v = search_violations(renoir, method).violations[0]
+        numpy_typed = Violation(v.description, v.period, np.float64(v.level_before), np.float64(v.level_after),
+                                Perturbation({k: int(x) for k, x in v.perturbation.increments.items()}))
+        floats = Violation(v.description, v.period, v.level_before, v.level_after,
+                           Perturbation({k: float(int(x)) for k, x in v.perturbation.increments.items()}))
+        assert report_json(MonotonicityReport("hpm", 1, (numpy_typed,))) == report_json(
+            MonotonicityReport("hpm", 1, (floats,))
+        )
