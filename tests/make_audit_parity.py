@@ -13,7 +13,10 @@ case runs from the repository root. Its stdout is stored in
 its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
 writes files rather than a report, so the files it writes (``summary.txt``
 and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
-its exit status under the key ``reproduce``.
+its exit status under the key ``reproduce``. The commands in
+``USAGE_ERRORS`` fail: each stores the last line of its stderr (the error
+sentence) in ``tests/data/audit_parity/usage_errors/<name>.txt`` and its
+exit status under its name in ``exit_codes.json``.
 ``tests/test_audit_parity.py`` replays every case and compares it byte for
 byte. Run from the repository root, against the code whose outputs should
 become the expectation:
@@ -35,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).parent / "data" / "audit_parity"
 PANEL_AUDIT = "tests/data/audit_parity/panel_audit.csv"
 REPRODUCE = "reproduce"
+USAGE = CORPUS / "usage_errors"
 
 AUDITS = {
     "single_obs29": ["--mode", "single", "--obs", "29"],
@@ -78,6 +82,29 @@ CASES = {
     "fit": ["fit", "--format", "json"],
 }
 
+# commands refused before (exit 2) or while (exit 3) reading the data
+USAGE_ERRORS = {
+    "index_paasche": ["index", "--method", "paasche"],
+    "fit_plot": ["fit", "--format", "plot"],
+    "trials_ten": ["monotonicity", "--trials", "ten"],
+    "base_value_abc": ["index", "--base-value", "abc"],
+    "index_bogus": ["index", "--bogus"],
+    "ambiguous_prefix": ["index", "--b", "5"],
+    "data_without_value": ["index", "--data"],
+    "data_option_as_value": ["index", "--data", "-x.csv"],
+    "reproduce_without_outdir": ["reproduce"],
+    "unknown_subcommand": ["foo"],
+    "no_arguments": [],
+    "random_without_seed": ["monotonicity", "--mode", "random"],
+    "single_without_obs": ["monotonicity", "--mode", "single"],
+    "multiplier_below_one": ["monotonicity", "--obs", "29", "--multiplier", "0.5"],
+    "bad_multipliers": ["monotonicity", "--mode", "grid", "--multipliers", "1.5,abc"],
+    "missing_config": ["--config", "/nonexistent.json", "index"],
+    "abbreviated_config": ["--conf", "x", "index"],
+    "negative_base_value": ["index", "--base-value", "-5"],
+    "negative_seed": ["monotonicity", "--mode", "random", "--seed", "-1"],
+}
+
 
 def case_path(name: str) -> Path:
     """Where the expected stdout of case ``name`` is stored: ``.txt`` for a table, else ``.json``."""
@@ -102,6 +129,14 @@ def run_reproduce(outdir: Path) -> int:
     return run_case([REPRODUCE, "--outdir", str(outdir)])[0]
 
 
+def run_usage_error(argv: list[str]) -> tuple[int, str]:
+    """Exit status and last stderr line (with its newline) of one in-process failing command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_case(argv)[0]
+    return code, err.getvalue().splitlines()[-1] + "\n"
+
+
 def write_corpus() -> None:
     """Run every case and write its outputs and exit status under ``CORPUS``."""
     CORPUS.mkdir(parents=True, exist_ok=True)
@@ -110,6 +145,10 @@ def write_corpus() -> None:
         codes[name], stdout = run_case(argv)
         case_path(name).write_text(stdout, encoding="utf-8", newline="\n")
     codes[REPRODUCE] = run_reproduce(CORPUS / REPRODUCE)
+    USAGE.mkdir(exist_ok=True)
+    for name, argv in USAGE_ERRORS.items():
+        codes[name], line = run_usage_error(argv)
+        (USAGE / f"{name}.txt").write_text(line, encoding="utf-8", newline="\n")
     (CORPUS / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 
 

@@ -1,9 +1,9 @@
 """Reports and files on the bundled data, byte for byte against the checked-in corpus.
 
 The expected stdout (JSON, or text for the ``--format table`` cases) and
-exit status of each case, and the files that
-``reproduce`` writes, live in ``tests/data/audit_parity``;
-``tests/make_audit_parity.py`` regenerates them.
+exit status of each case, the files that ``reproduce`` writes, and the
+exit status and error line of each refused command live in
+``tests/data/audit_parity``; ``tests/make_audit_parity.py`` regenerates them.
 """
 
 from __future__ import annotations
@@ -12,13 +12,24 @@ import json
 
 import pytest
 
-from make_audit_parity import CASES, CORPUS, REPRODUCE, case_path, run_case, run_reproduce
+from make_audit_parity import (
+    CASES,
+    CORPUS,
+    REPRODUCE,
+    USAGE,
+    USAGE_ERRORS,
+    case_path,
+    run_case,
+    run_reproduce,
+    run_usage_error,
+)
 
 EXIT_CODES = json.loads((CORPUS / "exit_codes.json").read_text(encoding="utf-8"))
 
 
 def test_corpus_holds_every_case():
-    assert sorted(EXIT_CODES) == sorted([*CASES, REPRODUCE])
+    assert sorted(EXIT_CODES) == sorted([*CASES, *USAGE_ERRORS, REPRODUCE])
+    assert sorted(p.stem for p in USAGE.iterdir()) == sorted(USAGE_ERRORS)
     stored = [p for p in [*CORPUS.glob("*.json"), *CORPUS.glob("*.txt")] if p.name != "exit_codes.json"]
     assert sorted(stored) == sorted(case_path(name) for name in CASES)
     assert sum(p.suffix == ".txt" for p in stored) == 4
@@ -37,3 +48,10 @@ def test_reproduce_files_are_byte_identical(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (CORPUS / REPRODUCE / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_is_byte_identical(name):
+    code, line = run_usage_error(USAGE_ERRORS[name])
+    assert code == EXIT_CODES[name]
+    assert line.encode("utf-8") == (USAGE / f"{name}.txt").read_bytes()
