@@ -5,56 +5,48 @@ hedonic regression and print its table), ``monotonicity`` (audit an
 index method against the monotonicity requirement), and ``reproduce``
 (recompute the bundled example against the stored reference values).
 
-A JSON config file, ``--config FILE`` spelled out in full before the
-subcommand, supplies option values under the long option names: each
-entry becomes the token ``--key=value`` (``--key`` for true; null and
-false leave the option unset) right after the subcommand, so values are
-parsed exactly like flags and a bad one is a usage error. Keys the
-subcommand has no option for are ignored, and explicit flags win.
+``_COMMANDS`` declares each subcommand's options in one table, and
+``_parse`` reads the command line against it in one pass: ``--opt value``
+or ``--opt=value``, a unique prefix for a subcommand's option (an exact
+name beats a prefix), and a negative number as a value. A usage error
+prints a usage line and ``artindex[ COMMAND]: error: ...`` and exits 2;
+``-h``/``--help`` prints the table. A JSON config file, ``--config FILE``
+spelled out in full before the subcommand, supplies option values under
+the long option names: each entry becomes the token ``--key=value``
+(``--key`` for true; null and false leave the option unset) right after
+the subcommand, so values are parsed exactly like flags and a bad one is
+a usage error. Keys the subcommand has no option for are ignored, and
+explicit flags win.
 
 Exit statuses: 0 success or compliant, 2 usage error, 3 data or model
 error, 4 monotonicity violation found. Output is deterministic: equal
 inputs and flags produce byte-identical reports (random audits require
-an explicit seed).
-
-A command imports only the library modules it runs: the audit,
-replication and regression code load inside the commands that call
-them, so ``index --method npgm`` starts without them.
+an explicit seed). A command imports only the library modules it runs:
+the audit, replication and regression code load inside the commands
+that call them, so ``index --method npgm`` starts without them.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from .csvio import InputSchema, bundled_data_path, load_csv
 from .domain import Dataset
 from .errors import ArtindexError
 from .indexes import (
-    DEFAULT_BASE_VALUE,
-    HPM,
-    NPGM,
-    _require_base,
-    hpm_index_from_result,
-    hpm_method,
-    npgm_index,
-    npgm_method,
+    DEFAULT_BASE_VALUE, HPM, NPGM, _require_base, hpm_index_from_result, hpm_method, npgm_index, npgm_method,
 )
 from .report import (
-    Report,
-    index_series_dict,
-    monotonicity_report_dict,
-    regression_result_dict,
-    render_index_plot_data,
-    render_index_table,
-    render_monotonicity_table,
-    render_regression_table,
+    Report, index_series_dict, monotonicity_report_dict, regression_result_dict, render_index_plot_data,
+    render_index_table, render_monotonicity_table, render_regression_table,
 )
 
 if TYPE_CHECKING:
@@ -66,159 +58,6 @@ EXIT_DATA = 3
 EXIT_VIOLATION = 4
 
 DEFAULT_REGRESSORS = "area,aspect_ratio"
-
-
-def _with_config(argv: list[str]) -> list[str]:
-    """``argv`` with the entries of leading ``--config FILE`` options as tokens after the subcommand."""
-    rest, path = argv, None
-    while rest:
-        option, equals, value = rest[0].partition("=")
-        if option != "--config" or not (equals or len(rest) > 1):
-            break
-        path, rest = (value, rest[1:]) if equals else (rest[1], rest[2:])
-    if path is None:
-        return argv
-    try:
-        with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        _usage_error(f"cannot read config file {path}: {exc}")
-    if not isinstance(config, dict):
-        _usage_error(f"config file {path} must hold a JSON object")
-    commands = _build_parser()[1]
-    if not rest or rest[0] not in commands:
-        return argv
-    options = commands[rest[0]]._option_string_actions
-    tokens = []
-    for key, value in config.items():
-        option = "--" + str(key).replace("_", "-")
-        action = options.get(option)
-        if action is None or action.dest == "help" or value is None or value is False:
-            continue
-        if isinstance(value, (list, dict)):
-            _usage_error(f"config key {key!r} must be a string, number or boolean")
-        tokens.append(option if value is True else f"{option}={value}")
-    return [rest[0], *tokens, *rest[1:]]
-
-
-def _usage_error(message: str) -> NoReturn:
-    _build_parser()[0].error(message)
-
-
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommand parsers by name, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="artindex",
-        description=(
-            "Price indexes for heterogeneous asset sales, computed from "
-            "normalized-price geometric means or hedonic time dummies, with "
-            "monotonicity audits."
-        ),
-        allow_abbrev=False,
-    )
-    parser.add_argument(
-        "--config",
-        help="JSON file whose keys mirror the long option names; "
-        "explicit flags take precedence",
-    )
-    sub = parser.add_subparsers(dest="subcommand")
-
-    data_parent = argparse.ArgumentParser(add_help=False)
-    g = data_parent.add_argument_group("input")
-    g.add_argument(
-        "--data",
-        help="input CSV path (default: the bundled Renoir 1989-1990 dataset)",
-    )
-    g.add_argument("--id-column", default="id")
-    g.add_argument("--period-column", default="dataset")
-    g.add_argument("--price-column", default="price_usd")
-    g.add_argument(
-        "--area-column",
-        help="area column; defaults to area_cm2 unless height/width are mapped",
-    )
-    g.add_argument("--height-column")
-    g.add_argument("--width-column")
-    g.add_argument(
-        "--ratio-column",
-        help="aspect ratio column; defaults to hw_ratio unless height/width are mapped",
-    )
-    g.add_argument(
-        "--extra-columns",
-        default="",
-        help="comma-separated extra characteristic columns",
-    )
-    g.add_argument("--decimal-separator", default=".")
-    g.add_argument(
-        "--no-header",
-        action="store_true",
-        help="file has no header row; column options are 0-based indexes",
-    )
-
-    model_parent = argparse.ArgumentParser(add_help=False)
-    model_parent.add_argument(
-        "--regressors",
-        default=DEFAULT_REGRESSORS,
-        help="comma-separated characteristics for the hedonic model",
-    )
-
-    index_parent = argparse.ArgumentParser(add_help=False)
-    index_parent.add_argument("--method", choices=[NPGM, HPM], default=NPGM)
-    index_parent.add_argument("--base", help="base period (default: first)")
-    index_parent.add_argument("--base-value", type=float, default=DEFAULT_BASE_VALUE)
-
-    p_index = sub.add_parser(
-        "index",
-        parents=[data_parent, model_parent, index_parent],
-        help="compute a price index series",
-    )
-    p_index.set_defaults(run=_cmd_index)
-    p_index.add_argument("--format", choices=["table", "json", "plot"], default="table")
-
-    p_fit = sub.add_parser(
-        "fit",
-        parents=[data_parent, model_parent],
-        help="fit the hedonic time-dummy regression and report statistics",
-    )
-    p_fit.set_defaults(run=_cmd_fit)
-    p_fit.add_argument("--reference", help="reference period (default: first)")
-    p_fit.add_argument("--format", choices=["table", "json"], default="table")
-
-    p_mono = sub.add_parser(
-        "monotonicity",
-        parents=[data_parent, model_parent, index_parent],
-        help="audit an index method against the monotonicity requirement",
-    )
-    p_mono.set_defaults(run=_cmd_monotonicity)
-    p_mono.add_argument("--mode", choices=["single", "grid", "random"], default="single")
-    p_mono.add_argument("--obs", help="observation id (single mode)")
-    p_mono.add_argument(
-        "--multiplier",
-        type=float,
-        default=1.5,
-        help="price multiplier for single mode (>= 1)",
-    )
-    p_mono.add_argument(
-        "--multipliers",
-        help="comma-separated multipliers for grid mode (default: 1.1 to 3.0 by 0.1)",
-    )
-    p_mono.add_argument("--trials", type=int, default=1000)
-    p_mono.add_argument("--seed", type=int, help="mandatory in random mode")
-    p_mono.add_argument(
-        "--melser",
-        help="also report the period/characteristic association for this characteristic",
-    )
-    p_mono.add_argument("--format", choices=["table", "json"], default="table")
-
-    p_rep = sub.add_parser(
-        "reproduce",
-        help="recompute the bundled example and verify it against reference values",
-    )
-    p_rep.set_defaults(run=_cmd_reproduce)
-    p_rep.add_argument("--outdir", required=True)
-    p_rep.add_argument("--format", choices=["table", "json"], default="table")
-
-    return parser, sub.choices
 
 
 def _schema_from_args(args) -> InputSchema:
@@ -329,14 +168,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_monotonicity(args) -> int:
     from .monotonicity import (
-        DEFAULT_MULTIPLIER_GRID,
-        MonotonicityReport,
-        Perturbation,
-        check_monotonicity,
-        melser_diagnostic,
-        random_perturbation_audit,
-        search_violations,
-        violations_from,
+        DEFAULT_MULTIPLIER_GRID, MonotonicityReport, Perturbation, check_monotonicity, melser_diagnostic,
+        random_perturbation_audit, search_violations, violations_from,
     )
 
     ds, base, config = _load_with_base(args)
@@ -349,10 +182,11 @@ def _cmd_monotonicity(args) -> int:
     if args.mode == "single":
         if args.obs is None:
             _usage_error("--obs is required in single mode")
-        if args.multiplier < 1:
+        if not args.multiplier >= 1:
             _usage_error("--multiplier must be >= 1")
-        config["obs"] = args.obs
-        config["multiplier"] = args.multiplier
+        if not math.isfinite(args.multiplier):
+            _usage_error("--multiplier must be finite")
+        config.update(obs=args.obs, multiplier=args.multiplier)
         price = float(ds.price[ds.row(args.obs)])
         pert = Perturbation({args.obs: price * (args.multiplier - 1.0)})
         comparisons = check_monotonicity(ds, method, pert)
@@ -373,8 +207,7 @@ def _cmd_monotonicity(args) -> int:
     else:
         if args.seed is None:
             _usage_error("--seed is required in random mode")
-        config["trials"] = args.trials
-        config["seed"] = args.seed
+        config.update(trials=args.trials, seed=args.seed)
         mono = random_perturbation_audit(ds, method, args.trials, args.seed)
 
     if args.melser is not None:
@@ -410,14 +243,181 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if summary.passed else EXIT_DATA
 
 
+# One row per option: attribute name (the long option with ``-`` for ``_``),
+# default (``...``: required), converter (``None``: a flag, true when given),
+# choices and help.
+_DATA_OPTIONS = (
+    ("data", None, str, (), "input CSV path (default: the bundled Renoir 1989-1990 dataset)"),
+    ("id_column", "id", str, (), "observation id column"),
+    ("period_column", "dataset", str, (), "period column"),
+    ("price_column", "price_usd", str, (), "price column"),
+    ("area_column", None, str, (), "area column; defaults to area_cm2 unless height/width are mapped"),
+    ("height_column", None, str, (), "height column; with --width-column, area and ratio are derived"),
+    ("width_column", None, str, (), "width column"),
+    ("ratio_column", None, str, (), "aspect ratio column; defaults to hw_ratio unless height/width are mapped"),
+    ("extra_columns", "", str, (), "comma-separated extra characteristic columns"),
+    ("decimal_separator", ".", str, (), "decimal separator of the numeric cells"),
+    ("no_header", False, None, (), "file has no header row; column options are 0-based indexes"),
+    ("regressors", DEFAULT_REGRESSORS, str, (), "comma-separated characteristics for the hedonic model"),
+)
+_INDEX_OPTIONS = (
+    ("method", NPGM, str, (NPGM, HPM), "index method"),
+    ("base", None, str, (), "base period (default: first)"),
+    ("base_value", DEFAULT_BASE_VALUE, float, (), "index level of the base period"),
+)
+_AUDIT_OPTIONS = (
+    ("mode", "single", str, ("single", "grid", "random"), "perturbation scheme"),
+    ("obs", None, str, (), "observation id (single mode)"),
+    ("multiplier", 1.5, float, (), "price multiplier for single mode (>= 1)"),
+    ("multipliers", None, str, (), "comma-separated multipliers for grid mode (default: 1.1 to 3.0 by 0.1)"),
+    ("trials", 1000, int, (), "number of random trials"),
+    ("seed", None, int, (), "mandatory in random mode"),
+    ("melser", None, str, (), "also report the period/characteristic association for this characteristic"),
+)
+_FORMAT = ("format", "table", str, ("table", "json"), "output format")
+_COMMANDS = {  # name: (command, help, option rows)
+    "index": (_cmd_index, "compute a price index series", (
+        *_DATA_OPTIONS, *_INDEX_OPTIONS, ("format", "table", str, ("table", "json", "plot"), "output format"))),
+    "fit": (_cmd_fit, "fit the hedonic time-dummy regression and report statistics", (
+        *_DATA_OPTIONS, ("reference", None, str, (), "reference period (default: first)"), _FORMAT)),
+    "monotonicity": (_cmd_monotonicity, "audit an index method against the monotonicity requirement", (
+        *_DATA_OPTIONS, *_INDEX_OPTIONS, *_AUDIT_OPTIONS, _FORMAT)),
+    "reproduce": (_cmd_reproduce, "recompute the bundled example and verify it against reference values", (
+        ("outdir", ..., str, (), "directory the output files are written to"), _FORMAT)),
+}
+_TOP = (None, "Price indexes for heterogeneous asset sales, computed from normalized-price geometric\nmeans "
+        "or hedonic time dummies, with monotonicity audits. Options may be abbreviated.",
+        (("config", None, str, (), "JSON file of option values by long name; explicit flags take precedence"),))
+# the option strings of the top level (None) and of each subcommand, mapped to their rows
+_OPTIONS = {name: dict.fromkeys(("-h", "--help")) | {"--" + row[0].replace("_", "-"): row for row in rows}
+            for name, (_, _, rows) in {None: _TOP, **_COMMANDS}.items()}
+_TOP_USAGE = "usage: artindex [-h] [--config CONFIG] {index,fit,monotonicity,reproduce} ..."
+
+
+def _usage(command: str | None) -> str:
+    return _TOP_USAGE if command is None else f"usage: artindex {command} [-h] [options]"
+
+
+def _usage_error(message: str, command: str | None = None) -> NoReturn:
+    prog = "artindex" if command is None else f"artindex {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _exit_with_help(command: str | None) -> NoReturn:
+    """Print the usage, the description, and every option with its help, choices and default; exit 0."""
+    _, description, rows = _COMMANDS.get(command, _TOP)
+    sections = {} if command else {"commands": [(name, entry[1]) for name, entry in _COMMANDS.items()]}
+    sections["options"] = [("-h, --help", "show this help message and exit")]
+    for name, default, convert, choices, text in rows:
+        value = convert.__name__.upper() if convert in (int, float) else name.rpartition("_")[2].upper()
+        value = "{" + ",".join(choices) + "}" if choices else value if convert else ""
+        if default not in (None, False, ""):
+            text += " (required)" if default is ... else f" (default: {default})"
+        sections["options"].append((f"--{name.replace('_', '-')} {value}".rstrip(), text))
+    lines = [_usage(command), "", description]
+    for title, pairs in sections.items():
+        width = max(len(left) for left, _ in pairs)
+        lines += ["", f"{title}:", *(f"  {left:<{width}}  {text}" for left, text in pairs)]
+    _print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _option(token: str, command: str | None) -> tuple[str, str | None] | None:
+    """The option ``token`` names (``""`` if unknown) and its ``=`` value, or None for a value."""
+    options = _OPTIONS[command]
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return token, None
+    name, equals, value = token.partition("=")
+    value = value if equals else None
+    if equals and name in options:
+        return name, value
+    if command is not None and name.startswith("--") and name != "--":  # a prefix
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}", command)
+        if matches:
+            return matches[0], value
+    # a negative number or a text with a space is a value; compiled on first use, off the common path
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+
+
+def _read(tokens: list[str], command: str | None, values: dict, extras: list[str]) -> list[str]:
+    """Read ``tokens`` into ``values`` (by attribute) and unknown options into ``extras``;
+    at the top level (``command`` None), stop at the subcommand and return the tokens from it on."""
+    j = 0
+    while j < len(tokens):
+        token, j = tokens[j], j + 1
+        option, value = _option(token, command) or (None, None)
+        if option is None and command is None:
+            return tokens[j - 1 :]
+        if not option:
+            extras.append(token)
+            continue
+        if option in ("-h", "--help"):
+            _exit_with_help(command)
+        name, _, convert, choices, _ = _OPTIONS[command][option]
+        if convert is None and value is not None:
+            _usage_error(f"argument {option}: ignored explicit argument {value!r}", command)
+        if convert is not None and value is None:
+            if j == len(tokens) or _option(tokens[j], command) is not None:
+                _usage_error(f"argument {option}: expected one argument", command)
+            value, j = tokens[j], j + 1
+        try:
+            value = values[name] = True if convert is None else convert(value)
+        except ValueError:
+            _usage_error(f"argument {option}: invalid {convert.__name__} value: {value!r}", command)
+        if choices and value not in choices:
+            choices = ", ".join(map(repr, choices))
+            _usage_error(f"argument {option}: invalid choice: {value!r} (choose from {choices})", command)
+    return []
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line: ``config``, ``subcommand``, ``run`` and one attribute per option."""
+    top, extras = {"config": None}, []
+    rest = _read(argv, None, top, extras)
+    path, config = top["config"], {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                config = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            _usage_error(f"cannot read config file {path}: {exc}")
+        if not isinstance(config, dict):
+            _usage_error(f"config file {path} must hold a JSON object")
+    if not rest:
+        if extras:
+            _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+        sys.stderr.write(_TOP_USAGE + "\n")
+        raise SystemExit(EXIT_USAGE)
+    command, tokens = rest[0], []
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(f"argument subcommand: invalid choice: {command!r} (choose from {choices})")
+    for key, value in config.items():
+        option = "--" + str(key).replace("_", "-")
+        if option in _OPTIONS[command] and option != "--help" and value is not None and value is not False:
+            if isinstance(value, (list, dict)):
+                _usage_error(f"config key {key!r} must be a string, number or boolean")
+            tokens.append(option if value is True else f"{option}={value}")
+    run, _, rows = _COMMANDS[command]
+    values = {row[0]: row[1] for row in rows}
+    _read([*tokens, *rest[1:]], command, values, extras)
+    missing = [f"--{name.replace('_', '-')}" for name, value in values.items() if value is ...]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}", command)
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(config=path, subcommand=command, run=run, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()[0]
     try:
-        args = parser.parse_args(_with_config(argv))
-        if args.subcommand is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
+        args = _parse(argv)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

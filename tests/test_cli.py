@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -295,6 +294,16 @@ class TestMonotonicityCommand:
         assert (code, out) == (2, "")
         assert err.endswith("error: --multiplier must be >= 1\n")
 
+    def test_nan_multiplier_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "monotonicity", "--obs", "29", "--multiplier", "nan")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartindex: error: --multiplier must be >= 1\n")
+
+    def test_infinite_multiplier_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "monotonicity", "--obs", "29", "--multiplier", "inf")
+        assert (code, out) == (2, "")
+        assert err.endswith("\nartindex: error: --multiplier must be finite\n")
+
     def test_melser_needs_two_periods(self, capsys, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text(
@@ -550,8 +559,10 @@ class TestConfigFile:
 
     def test_abbreviated_config_option_is_refused(self, capsys, tmp_path):
         cfg = self.config(tmp_path, method="hpm", format="json")
-        code, out, _ = run(capsys, "--conf", cfg, "index")
-        assert (code, out) == (2, "")
+        for argv in (["--conf", cfg, "index"], ["--confi=" + cfg, "index"], ["index", "--config", cfg]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "error: " in err
 
     def test_values_parse_like_flags(self, capsys, tmp_path):
         cfg = self.config(tmp_path, base_value=50, format="json")
@@ -585,20 +596,63 @@ class TestConfigFile:
         config = Report.from_json(out).config
         assert (config["method"], config["base_value"]) == ("npgm", 100.0)
 
-    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        calls = []
-        init = argparse.ArgumentParser.__init__
 
-        def counting_init(self, *args, **kwargs):
-            calls.append(1)
-            init(self, *args, **kwargs)
+class TestOptionParsing:
+    """The command line is read against one option table, with no ``argparse``."""
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._build_parser.cache_clear()
-        run(capsys, "index", "--format", "json")
-        built = len(calls)
-        run(capsys, "fit", "--format", "json")
-        assert built > 0 and len(calls) == built
+    def test_cold_command_imports_neither_argparse_nor_gettext(self):
+        # ``-X importtime`` lists every module the process imports
+        src = str(Path(artindex.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "artindex.cli", "index", "--method", "npgm",
+             "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+        assert "artindex.csvio" in imported
+        assert not {"argparse", "gettext"} & imported
+
+    def test_prefixes_give_the_bytes_of_full_names(self, capsys):
+        full = run(capsys, "index", "--method", "hpm", "--format", "json")
+        assert full[0] == 0
+        assert run(capsys, "index", "--meth", "hpm", "--form=json") == full
+        assert run(capsys, "index", "--m=hpm", "--f", "json") == full
+
+    def test_exact_name_beats_a_prefix(self, capsys):
+        code, out, _ = run(capsys, "index", "--base", "B", "--format", "json")
+        assert code == 0
+        config = Report.from_json(out).config
+        assert (config["base"], config["base_value"]) == ("B", 100.0)
+        code, out, err = run(capsys, "index", "--bas", "B")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: ambiguous option: --bas could match --base, --base-value\n")
+
+    def test_negative_numbers_are_values(self, capsys):
+        code, out, _ = run(capsys, "index", "--base-value", "-.5", "--base", "A")
+        assert (code, out) == (3, "")
+        code, out, err = run(capsys, "index", "--base-value", "-1e5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --base-value: expected one argument\n")
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_lists_every_option(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        for help_flag in ("--help", "-h"):
+            code, out, err = run(capsys, *argv[:-1], help_flag)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: artindex")
+            rows = cli._TOP[2] if command is None else cli._COMMANDS[command][2]
+            for name, _, _, choices, text in rows:
+                option = "--" + name.replace("_", "-")
+                line = next(line for line in out.splitlines() if line.startswith(f"  {option} "))
+                assert text in line
+                assert not choices or "{" + ",".join(choices) + "}" in line
+            if command is None:
+                for name, (_, text, _) in cli._COMMANDS.items():
+                    assert f"  {name}  " in out and text in out
 
 
 class TestHpmLevelsAgree:
