@@ -8,15 +8,15 @@ index method against the monotonicity requirement), and ``reproduce``
 ``_COMMANDS`` declares each subcommand's options in one table, and
 ``_parse`` reads the command line against it in one pass: ``--opt value``
 or ``--opt=value``, a unique prefix for a subcommand's option (an exact
-name beats a prefix), and a negative number as a value. A usage error
-prints a usage line and ``artindex[ COMMAND]: error: ...`` and exits 2;
-``-h``/``--help`` prints the table. A JSON config file, ``--config FILE``
-spelled out in full before the subcommand, supplies option values under
-the long option names: each entry becomes the token ``--key=value``
-(``--key`` for true; null and false leave the option unset) right after
-the subcommand, so values are parsed exactly like flags and a bad one is
-a usage error. Keys the subcommand has no option for are ignored, and
-explicit flags win.
+name beats a prefix), and as a value a negative number (any text that
+``float()`` reads) or a text with a space. A usage error prints a usage
+line and ``artindex[ COMMAND]: error: ...`` and exits 2; ``-h``/``--help``
+prints the table. A JSON config file, ``--config FILE`` spelled out in
+full before the subcommand, supplies option values under the long option
+names: each entry becomes the token ``--key=value`` (``--key`` for true;
+null and false leave the option unset) right after the subcommand, so
+values are parsed exactly like flags and a bad one is a usage error. Keys
+the subcommand has no option for are ignored, and explicit flags win.
 
 Exit statuses: 0 success or compliant, 2 usage error, 3 data or model
 error, 4 monotonicity violation found. Output is deterministic: equal
@@ -32,7 +32,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -340,8 +339,13 @@ def _option(token: str, command: str | None) -> tuple[str, str | None] | None:
             _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}", command)
         if matches:
             return matches[0], value
-    # a negative number or a text with a space is a value; compiled on first use, off the common path
-    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+    if " " in token:  # a text with a space is a value
+        return None
+    try:  # so is a negative number, any text float() reads ("-1e5", "-inf")
+        float(token)
+    except ValueError:
+        return "", None
+    return None
 
 
 def _read(tokens: list[str], command: str | None, values: dict, extras: list[str]) -> list[str]:

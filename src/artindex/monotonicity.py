@@ -50,6 +50,7 @@ from .domain import Dataset, check_increments, is_finite_real
 from .errors import ModelError, ValidationError
 from .indexes import IndexMethod, two_period_rows
 from .regression import characteristic_column, student_t_two_sided_p
+from .report import _Records
 
 # relative slack distinguishing a genuine level drop from float noise
 RELATIVE_SLACK = 1e-12
@@ -91,13 +92,14 @@ class Violation:
     perturbation: Perturbation
 
 
-class _Violations(Sequence):
-    """Violations as columns, one per :class:`Violation` field; a perturbation is its increments dict.
+class _Violations(_Records, Sequence):
+    """Violations as columns under ``keys``, the :class:`Violation` fields; a perturbation is its increments dict.
 
-    The :class:`Violation` objects are built on first use, then cached.
+    The report writes the columns as they are. The :class:`Violation`
+    objects are built on first use, then cached.
     """
 
-    __slots__ = ("columns", "_built")
+    keys = ("description", "period", "level_before", "level_after", "perturbation")
 
     def __init__(self, *columns: list):
         self.columns, self._built = columns or ([], [], [], [], []), None
@@ -106,9 +108,6 @@ class _Violations(Sequence):
         if self._built is None:
             self._built = tuple(Violation(*v[:4], Perturbation(v[4])) for v in zip(*self.columns))
         return self._built
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
 
     def __getitem__(self, i):
         return self._violations()[i]

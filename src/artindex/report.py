@@ -7,7 +7,8 @@ their shortest representation that round-trips exactly (up to 17
 significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
 finite. ``Report.to_json`` writes it with ``_indented_json`` rather than
 ``json.dumps``, because an ``indent`` sends ``json.dumps`` to its
-pure-Python generator encoder before Python 3.13. The writer builds each
+pure-Python generator encoder before Python 3.13. The writer handles
+only what artindex writes, exact-type payloads, and builds each
 container's text in one ``str.join``: an item that is a scalar of exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None`` type is written inline
 through a type-to-text table, and a container of two or more such
@@ -16,9 +17,10 @@ scalars (under ``str`` keys) is written by the stdlib's C encoder, with
 keys, all under one tuple of ``str`` keys) is written column by column,
 each record filled from one ``%`` template: ``_records`` takes the keys
 and one column per key, transposed from a list of same-keyed dicts or
-kept as columns from the start, as an audit's violations are.
-Subclasses such as ``np.float64`` and non-``str`` keys are written after
-``isinstance`` checks in json's order.
+kept as columns from the start, as an audit's violations are. Anything
+else (a non-``str`` key, a subclass such as ``np.float64``, an unknown
+type), and the whole payload on a Python without the C encoder, is
+written by ``json.dumps`` itself, with ``_Records`` as lists of dicts.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _float_text(x: float) -> str:
 
 
 # the text of a scalar of exactly one of these types; a subclass (np.float64,
-# an IntEnum, a str subclass) takes the isinstance path of _text
+# an IntEnum, a str subclass) is written by json.dumps
 _SCALAR_TEXT = {
     str: _escape,
     int: int.__repr__,
@@ -147,53 +149,44 @@ def _records(keys, columns, inner: str) -> str:
     return ("," + inner).join(map(template.__mod__, zip(*texts)))
 
 
-def _key_text(key) -> str:
-    """The text json gives a non-``str`` dict key, in json's order of checks."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _record_dicts(o) -> list[dict]:
+    """``json.dumps``'s ``default``: a ``_Records`` as its list of record dicts."""
+    if isinstance(o, _Records):
+        return [dict(zip(o.keys, r)) for r in zip(*o.columns)]
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _stdlib_text(o, indent: str) -> str:
+    """The text of ``o`` from ``json.dumps``; it escapes every newline in a string, so each one is a line break."""
+    return json.dumps(o, indent=2, default=_record_dicts).replace("\n", indent)
 
 
 def _text(o, indent: str) -> str:
     """The text of ``o``, whose own line starts with ``indent`` (a newline and spaces).
 
-    A container's text is built in one join. An item that is an exact-type
-    scalar is written inline through ``_SCALAR_TEXT``, and any other item
-    by a call of its own; a container of two or more exact-type scalars (under
-    ``str`` keys) is written by the C encoder, and a record list by ``_records``.
+    Only exact-type payloads are written here, each container in one join:
+    an item that is an exact-type scalar inline through ``_SCALAR_TEXT``, a
+    container of two or more of them (under ``str`` keys) by the C encoder,
+    a record list (or ``_Records``) by ``_records``, and any other item by a
+    call of its own. Anything else (a non-``str`` key, a scalar subclass, an
+    unknown type) is written by ``_stdlib_text``.
     """
-    if isinstance(o, dict):
+    if type(o) is dict:
         if not o:
             return "{}"
+        if not _STR.issuperset(map(type, o)):
+            return _stdlib_text(o, indent)
         inner = indent + "  "
-        if (
-            len(o) > 1
-            and c_make_encoder
-            and _SCALARS.issuperset(map(type, o.values()))
-            and _STR.issuperset(map(type, o))
-        ):
+        if len(o) > 1 and _SCALARS.issuperset(map(type, o.values())):
             return "{" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "}"
         get = _SCALAR_TEXT.get
-        items = [
-            _escape(k if isinstance(k, str) else _key_text(k))
-            + ": "
-            + (f(v) if (f := get(type(v))) else _text(v, inner))
-            for k, v in o.items()
-        ]
+        items = [_escape(k) + ": " + (f(v) if (f := get(type(v))) else _text(v, inner)) for k, v in o.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(o, (list, tuple)):
+    if type(o) is list or type(o) is tuple:
         if not o:
             return "[]"
         inner = indent + "  "
-        if len(o) > 1 and c_make_encoder:
+        if len(o) > 1:
             if _SCALARS.issuperset(map(type, o)):
                 return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
             # by column only where that takes fewer encoder calls than by record
@@ -206,22 +199,16 @@ def _text(o, indent: str) -> str:
     f = _SCALAR_TEXT.get(type(o))
     if f is not None:
         return f(o)
-    if type(o) is _Records:
-        if c_make_encoder and len(o) > len(o.keys):  # by column where that takes fewer encoder calls
+    if isinstance(o, _Records):
+        if len(o) > len(o.keys):  # by column where that takes fewer encoder calls
             return "[" + indent + "  " + _records(o.keys, o.columns, indent + "  ") + indent + "]"
-        return _text([dict(zip(o.keys, r)) for r in zip(*o.columns)], indent)
-    if isinstance(o, str):
-        return _escape(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return _text(_record_dicts(o), indent)
+    return _stdlib_text(o, indent)
 
 
 def _indented_json(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, for a tree (no cycle check)."""
-    return _text(payload, "\n")
+    """``json.dumps(payload, indent=2)`` for a tree, byte for byte; by ``json.dumps`` itself without the C encoder."""
+    return _text(payload, "\n") if c_make_encoder else _stdlib_text(payload, "\n")
 
 
 def index_series_dict(series: IndexSeries) -> dict:
@@ -255,9 +242,6 @@ def regression_result_dict(result: RegressionResult) -> dict:
     }
 
 
-_VIOLATION_KEYS = ("description", "period", "level_before", "level_after", "perturbation")
-
-
 def monotonicity_report_dict(
     report: MonotonicityReport,
     comparisons: tuple[LevelComparison, ...] | None = None,
@@ -268,7 +252,7 @@ def monotonicity_report_dict(
         "method": report.method,
         "trials": report.trials,
         "compliant": report.compliant,
-        "violations": _Records(_VIOLATION_KEYS, _violation_columns(report.violations).columns),
+        "violations": _violation_columns(report.violations),
         "melser_statistic": report.melser_statistic,
     }
     if comparisons is not None:

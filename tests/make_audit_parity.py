@@ -2,21 +2,23 @@
 
 Each case in ``CASES`` is one ``artindex ... --format json`` command. On the
 bundled data: the eight ``monotonicity`` audits, ``index`` for both methods
-and ``fit``. On ``PANEL_AUDIT``, 150 sales over four periods with a strong
+(also as ``--format plot`` CSV text) and ``fit``. On ``PANEL_AUDIT``, 150 sales over four periods with a strong
 area trend (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4,
 area_trend=1.0)``, checked in so that the corpus does not hang on numpy's
 random stream): six multi-period ``monotonicity`` audits, each naming the
 file by its path from the repository root, which the report echoes. Four
 more cases (``TABLES``) print hpm audits with ``--format table``. Every
 case runs from the repository root. Its stdout is stored in
-``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table, and
+``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table or plot, and
 its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
 writes files rather than a report, so the files it writes (``summary.txt``
 and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
 its exit status under the key ``reproduce``. The commands in
 ``USAGE_ERRORS`` fail: each stores the last line of its stderr (the error
 sentence) in ``tests/data/audit_parity/usage_errors/<name>.txt`` and its
-exit status under its name in ``exit_codes.json``.
+exit status under its name in ``exit_codes.json``. The commands in
+``DATA_ERRORS`` parse but are refused for their data or model (exit 3), and
+store the same two things, the line in ``data_errors/<name>.txt``.
 ``tests/test_audit_parity.py`` replays every case and compares it byte for
 byte. Run from the repository root, against the code whose outputs should
 become the expectation:
@@ -39,6 +41,7 @@ CORPUS = Path(__file__).parent / "data" / "audit_parity"
 PANEL_AUDIT = "tests/data/audit_parity/panel_audit.csv"
 REPRODUCE = "reproduce"
 USAGE = CORPUS / "usage_errors"
+DATA = CORPUS / "data_errors"
 
 AUDITS = {
     "single_obs29": ["--mode", "single", "--obs", "29"],
@@ -80,6 +83,8 @@ CASES = {
     "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
     "fit": ["fit", "--format", "json"],
+    "index_npgm_plot": ["index", "--method", "npgm", "--format", "plot"],
+    "index_hpm_plot": ["index", "--method", "hpm", "--format", "plot"],
 }
 
 # commands refused before (exit 2) or while (exit 3) reading the data
@@ -105,10 +110,23 @@ USAGE_ERRORS = {
     "negative_seed": ["monotonicity", "--mode", "random", "--seed", "-1"],
 }
 
+# commands whose options parse but whose data or model is refused (exit 3)
+DATA_ERRORS = {
+    "unknown_obs": ["monotonicity", "--obs", "999"],
+    "unknown_base": ["index", "--base", "Z"],
+    "repeated_regressor": ["fit", "--regressors", "area,area"],
+    "unknown_regressor": ["fit", "--regressors", "bogus"],
+    "missing_area_column": ["index", "--area-column", "nope"],
+    "level_past_float_range": ["index", "--method", "hpm", "--base-value", "1.5e308"],
+    "melser_four_periods": [
+        "monotonicity", "--data", PANEL_AUDIT, "--mode", "grid", "--multipliers", "2", "--melser", "area",
+    ],
+}
+
 
 def case_path(name: str) -> Path:
-    """Where the expected stdout of case ``name`` is stored: ``.txt`` for a table, else ``.json``."""
-    return CORPUS / f"{name}.{'txt' if CASES[name][-1] == 'table' else 'json'}"
+    """Where the expected stdout of case ``name`` is stored: ``.json`` for a report, else ``.txt``."""
+    return CORPUS / f"{name}.{'json' if CASES[name][-1] == 'json' else 'txt'}"
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
@@ -149,6 +167,10 @@ def write_corpus() -> None:
     for name, argv in USAGE_ERRORS.items():
         codes[name], line = run_usage_error(argv)
         (USAGE / f"{name}.txt").write_text(line, encoding="utf-8", newline="\n")
+    DATA.mkdir(exist_ok=True)
+    for name, argv in DATA_ERRORS.items():
+        codes[name], line = run_usage_error(argv)
+        (DATA / f"{name}.txt").write_text(line, encoding="utf-8", newline="\n")
     (CORPUS / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
 
 

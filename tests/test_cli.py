@@ -633,9 +633,13 @@ class TestOptionParsing:
     def test_negative_numbers_are_values(self, capsys):
         code, out, _ = run(capsys, "index", "--base-value", "-.5", "--base", "A")
         assert (code, out) == (3, "")
-        code, out, err = run(capsys, "index", "--base-value", "-1e5")
+        for value in ("-1e5", "-inf"):
+            code, out, err = run(capsys, "index", "--base-value", value)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: base value must be positive and finite")
+        code, out, err = run(capsys, "monotonicity", "--mode", "random", "--seed", "-1e5")
         assert (code, out) == (2, "")
-        assert err.endswith("error: argument --base-value: expected one argument\n")
+        assert err.endswith("error: argument --seed: invalid int value: '-1e5'\n")
 
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_lists_every_option(self, capsys, command):

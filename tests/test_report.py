@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import enum
 import json
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artindex import report
-from artindex.report import Report, _indented_json
+from artindex.monotonicity import _Violations
+from artindex.report import Report, _indented_json, _Records
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]
 
@@ -135,6 +137,17 @@ class Name(str):
     pass
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def as_records(o):
+    """``json.dumps``'s ``default`` for the expected text: a ``_Records`` as the records it stands for."""
+    if isinstance(o, _Records):
+        return [{key: column[i] for key, column in zip(o.keys, o.columns)} for i in range(len(o.columns[0]))]
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 # a grid audit's violations: more records than keys, so written column by column
 VIOLATIONS = [
     {"description": f"obs {obs} price x{m:g}", "period": "B", "level_before": 100.5, "level_after": 100.5 - m,
@@ -188,19 +201,26 @@ EDGE_TREES = [
     [{"a": 1}, {Name("a"): 2}],
     [{"a": 1}, None],
     [*VIOLATIONS, {**VIOLATIONS[0], "level_after": np.float64(99.0)}],
+    # subclasses and non-str keys inside what the writer writes itself, which
+    # json.dumps writes in its place; a _Records that json.dumps meets is
+    # written through its default hook
+    {"a": Level.LOW, "b": [Level.LOW, 2.0]},
+    [{"a": Name("x"), "b": 1.0}, {"a": "y", "b": 2.0}, {"a": Name("z"), "b": 3.0}],
+    {"violations": _Records(("a", "b"), ([{1: "x"}, {"y": 2.0}, {None: 3}], [1, 2, 3]))},
+    {1: _Violations(["obs 29 price x2"], ["B"], [100.5], [99.5], [{"29": 1500.25}])},
 ]
 
 
 @pytest.mark.parametrize("tree", EDGE_TREES)
 def test_edge_trees_match_stdlib(tree):
-    assert _indented_json(tree) == json.dumps(tree, indent=2)
+    assert _indented_json(tree) == json.dumps(tree, indent=2, default=as_records)
 
 
 @pytest.mark.parametrize("tree", EDGE_TREES)
 def test_writer_needs_no_c_encoder(tree, monkeypatch):
-    # a Python without the _json accelerator writes every container item by item
+    # a Python without the _json accelerator writes the whole payload with json.dumps
     monkeypatch.setattr(report, "c_make_encoder", None)
-    assert _indented_json(tree) == json.dumps(tree, indent=2)
+    assert _indented_json(tree) == json.dumps(tree, indent=2, default=as_records)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, np.bool_(True), np.array([1.0]), object(), b"bytes"])
