@@ -93,10 +93,10 @@ class Violation:
 
 
 class _Violations(_Records, Sequence):
-    """Violations as columns under ``keys``, the :class:`Violation` fields; a perturbation is its increments dict.
+    """An audit's violations as columns, one per :class:`Violation` field, under ``keys``.
 
-    The report writes the columns as they are. The :class:`Violation`
-    objects are built on first use, then cached.
+    A perturbation is its increments dict. The report writes the columns as
+    they are; the :class:`Violation` objects are built on first use, then cached.
     """
 
     keys = ("description", "period", "level_before", "level_after", "perturbation")

@@ -1,19 +1,21 @@
 """Regenerate the expected outputs of the parity corpus.
 
-Each case in ``CASES`` is one ``artindex ... --format json`` command. On the
-bundled data: the eight ``monotonicity`` audits, ``index`` for both methods
-(also as ``--format plot`` CSV text) and ``fit``. On ``PANEL_AUDIT``, 150 sales over four periods with a strong
-area trend (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4,
-area_trend=1.0)``, checked in so that the corpus does not hang on numpy's
-random stream): six multi-period ``monotonicity`` audits, each naming the
-file by its path from the repository root, which the report echoes. Four
-more cases (``TABLES``) print hpm audits with ``--format table``. Every
-case runs from the repository root. Its stdout is stored in
-``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table or plot, and
-its exit status in ``tests/data/audit_parity/exit_codes.json``. ``reproduce``
-writes files rather than a report, so the files it writes (``summary.txt``
-and six CSVs) are stored under ``tests/data/audit_parity/reproduce/`` and
-its exit status under the key ``reproduce``. The commands in
+Each case in ``CASES`` is one ``artindex`` command. On the bundled data:
+the eight ``monotonicity`` audits with ``--format json``, ``index`` for
+both methods (as JSON and as ``--format plot`` CSV text) and ``fit``. On
+``PANEL_AUDIT``, 150 sales over four periods with a strong area trend
+(``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4, area_trend=1.0)``,
+checked in so that the corpus does not hang on numpy's random stream):
+six multi-period ``monotonicity`` audits, each naming the file by its
+path from the repository root, which the report echoes. Four more cases
+(``TABLES``) print hpm audits with ``--format table``. Every case runs
+from the repository root. Its stdout is stored in
+``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table
+or plot, and its exit status in ``tests/data/audit_parity/exit_codes.json``.
+``reproduce`` writes files rather than a report, so the files it writes
+(``summary.txt`` and six CSVs) are stored under
+``tests/data/audit_parity/reproduce/`` and its exit status under the key
+``reproduce``. The commands in
 ``USAGE_ERRORS`` fail: each stores the last line of its stderr (the error
 sentence) in ``tests/data/audit_parity/usage_errors/<name>.txt`` and its
 exit status under its name in ``exit_codes.json``. The commands in

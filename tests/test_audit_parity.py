@@ -1,6 +1,6 @@
 """Reports and files on the bundled data, byte for byte against the checked-in corpus.
 
-The expected stdout (JSON, or text for the ``--format table`` cases) and
+The expected stdout (JSON, or text for the ``--format table`` and ``plot`` cases) and
 exit status of each case, the files that ``reproduce`` writes, and the
 exit status and error line of each refused command (a usage error, or a
 data error) live in
