@@ -177,7 +177,6 @@ def _cmd_monotonicity(args) -> int:
         method = npgm_method(base, args.base_value)
     else:
         method = hpm_method(_model_spec(args, base), args.base_value)
-    comparisons = None
     if args.mode == "single":
         if args.obs is None:
             _usage_error("--obs is required in single mode")
@@ -186,13 +185,6 @@ def _cmd_monotonicity(args) -> int:
         if not math.isfinite(args.multiplier):
             _usage_error("--multiplier must be finite")
         config.update(obs=args.obs, multiplier=args.multiplier)
-        price = float(ds.price[ds.row(args.obs)])
-        pert = Perturbation({args.obs: price * (args.multiplier - 1.0)})
-        comparisons = check_monotonicity(ds, method, pert)
-        violations = violations_from(
-            f"obs {args.obs} price x{args.multiplier:g}", comparisons, pert
-        )
-        mono = MonotonicityReport(method=args.method, trials=1, violations=violations)
     elif args.mode == "grid":
         if args.multipliers is None:
             grid = DEFAULT_MULTIPLIER_GRID
@@ -202,14 +194,12 @@ def _cmd_monotonicity(args) -> int:
             except ValueError:
                 _usage_error(f"--multipliers must be comma-separated numbers, got {args.multipliers!r}")
         config["multipliers"] = list(grid)
-        mono = search_violations(ds, method, grid)
     else:
         if args.seed is None:
             _usage_error("--seed is required in random mode")
         config.update(trials=args.trials, seed=args.seed)
-        mono = random_perturbation_audit(ds, method, args.trials, args.seed)
-
     if args.melser is not None:
+        # refused before any audit: the period count is known once the data is loaded
         config["melser"] = args.melser
         others = [p for p in ds.periods if p != base]
         if len(others) != 1:
@@ -217,6 +207,21 @@ def _cmd_monotonicity(args) -> int:
                 "the association diagnostic needs exactly two periods "
                 f"(base plus one), dataset has {len(ds.periods)}"
             )
+
+    comparisons = None
+    if args.mode == "single":
+        price = float(ds.price[ds.row(args.obs)])
+        pert = Perturbation({args.obs: price * (args.multiplier - 1.0)})
+        comparisons = check_monotonicity(ds, method, pert)
+        violations = violations_from(
+            f"obs {args.obs} price x{args.multiplier:g}", comparisons, pert
+        )
+        mono = MonotonicityReport(method=args.method, trials=1, violations=violations)
+    elif args.mode == "grid":
+        mono = search_violations(ds, method, grid)
+    else:
+        mono = random_perturbation_audit(ds, method, args.trials, args.seed)
+    if args.melser is not None:
         mono = dataclasses.replace(
             mono, melser_statistic=melser_diagnostic(ds, args.melser, base, others[0])
         )

@@ -28,6 +28,15 @@ bit for bit.
 An audit keeps its violations as columns, one list per :class:`Violation`
 field from its array pass, which the report writes; the :class:`Violation`
 objects are built on first use.
+Before drawing, the random audit bounds how far any trial in its box can
+lower each level. Only negative weights can lower one, by at most
+1 - 2^(sum of its negative weights); the bound adds a rounding allowance
+that scales with those weights and the logs' rounding, not with
+n * eps * sum |W| |x| (see :func:`_fall_bound`). When no level can fall by
+more than ``RELATIVE_SLACK`` and no audited price is above ``_PRICE_CAP``,
+the audit returns its report with no draws: compliant, with the same trial
+count. npgm, whose non-base weights are all >= 0, always does; an hpm model
+with real negative weights draws and scores every trial.
 The random audit draws its trials in blocks of at most ``_DRAW_BUDGET``
 draws, so the memory it holds for draws is bounded by that budget
 whatever the trial count; every block size yields the same draws.
@@ -62,6 +71,10 @@ DEFAULT_MULTIPLIER_GRID = tuple(round(1.0 + 0.1 * i, 10) for i in range(1, 21))
 # draws per generator call in the random audit (8 MiB of float64): a block
 # holds as many trials as fit, two draws per non-base observation each
 _DRAW_BUDGET = 1 << 20
+
+# the largest price the random audit can raise (by less than itself) with no
+# overflow; a constant, since prices + prices would warn past it
+_PRICE_CAP = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -301,6 +314,32 @@ def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.
     return 4 * n * np.finfo(np.float64).eps * ((2 * np.abs(log_prices) + 1) @ np.abs(weights))
 
 
+def _fall_bound(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per period, how far any random trial can take :meth:`_Levels.after`'s sum below zero."""
+    # n sales in all; log_prices and the rows of weights (weights[j, q] = W[q, j])
+    # are the audited ones.
+    # The judge sums s = W[q] @ x over all n sales in one matvec, with
+    # x = a - b, a = log(p + inc), b = log p; unraised sales add exactly 0.
+    # Every increment is below its sale's price, so p + inc rounds to at most
+    # 2p and a - b lies in [0, log 2]. Each log is within an ulp, eps |a| or
+    # eps |b|, and |a| + |b| <= 2 |b| + log 2; with the subtraction's own
+    # rounding, the computed x_j lies in [-d_j, log 2 + d_j] with
+    # d_j = eps * (2 |b_j| + 2).
+    # A dot product of n terms in any order is sum W_j x_j (1 + t_j) with
+    # |t_j| <= gamma_n = n u / (1 - n u), u = eps / 2 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, section 3.1). A term is below
+    # zero only where W_j >= 0 and x_j < 0, by at most W_j d_j, or where
+    # W_j < 0, by at most |W_j| (log 2 + d_j). So the computed s is at least
+    # -(1 + gamma_n) N with N = log 2 * sum_{W_j < 0} |W_j| + sum |W_j| d_j:
+    # the n-fold rounding error scales N, which is eps-sized when no weight
+    # is negative, not sum |W| |x| as in _rounding_margin. The factor
+    # 1 + 4 n eps covers gamma_n and the rounding of N's own sums below.
+    eps = np.finfo(np.float64).eps
+    negative = -np.minimum(weights, 0.0).sum(axis=0)
+    rounding = eps * ((2 * np.abs(log_prices) + 2) @ np.abs(weights))
+    return (1 + 4 * n * eps) * (math.log(2) * negative + rounding)
+
+
 def _random_violations(
     levels: _Levels, trials: np.ndarray, block: np.ndarray, perturbed: np.ndarray
 ) -> tuple[list, ...]:
@@ -339,11 +378,18 @@ def random_perturbation_audit(
         raise ModelError(f"trials must be a positive integer, got {trials!r}")
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
     levels = _Levels(ds, method)
     targets = levels.targets
     prices, log_prices = ds.price[targets], levels._log_prices[targets]
     weights = levels._weights[:, targets].T
+    # a level after is level_before * exp(s), which falls by at most
+    # 1 - exp(-bound) <= bound: a bound of half the slack leaves the other half
+    # for the rounding of exp, the product and the comparison. No price at
+    # most _PRICE_CAP can overflow when raised, so no trial would be refused.
+    bound = _fall_bound(len(ds), log_prices, weights)
+    if prices.max() <= _PRICE_CAP and (bound <= RELATIVE_SLACK / 2).all():
+        return MonotonicityReport(method=levels.before.method, trials=int(trials), violations=_Violations())
+    rng = np.random.default_rng(seed)
     margin = _rounding_margin(len(ds), log_prices, weights)
     # float, not bool: a float matmul runs on BLAS and counts raised sales exactly
     in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods))).astype(np.float64)

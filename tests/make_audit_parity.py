@@ -6,9 +6,10 @@ both methods (as JSON and as ``--format plot`` CSV text) and ``fit``. On
 ``PANEL_AUDIT``, 150 sales over four periods with a strong area trend
 (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4, area_trend=1.0)``,
 checked in so that the corpus does not hang on numpy's random stream):
-six multi-period ``monotonicity`` audits, each naming the file by its
-path from the repository root, which the report echoes. Four more cases
-(``TABLES``) print hpm audits with ``--format table``. Every case runs
+six multi-period ``monotonicity`` audits and a 20,000-trial npgm random
+audit, each naming the file by its path from the repository root, which
+the report echoes. Six more cases (``TABLES``) print four hpm and two
+npgm audits with ``--format table``. Every case runs
 from the repository root. Its stdout is stored in
 ``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table
 or plot, and its exit status in ``tests/data/audit_parity/exit_codes.json``.
@@ -59,10 +60,16 @@ PANEL_AUDITS = {
 }
 
 TABLES = {
-    "grid": AUDITS["grid"],
-    "random_seed7": AUDITS["random_seed7"],
-    "single_obs29": AUDITS["single_obs29"],
-    "panel_grid2": ["--data", PANEL_AUDIT, *PANEL_AUDITS["grid2"]],
+    "hpm": {
+        "grid": AUDITS["grid"],
+        "random_seed7": AUDITS["random_seed7"],
+        "single_obs29": AUDITS["single_obs29"],
+        "panel_grid2": ["--data", PANEL_AUDIT, *PANEL_AUDITS["grid2"]],
+    },
+    "npgm": {
+        "grid": AUDITS["grid"],
+        "random_seed7": AUDITS["random_seed7"],
+    },
 }
 
 CASES = {
@@ -79,9 +86,14 @@ CASES = {
         for audit, argv in PANEL_AUDITS.items()
     },
     **{
-        f"hpm_{audit}_table": ["monotonicity", "--method", "hpm", *argv, "--format", "table"]
-        for audit, argv in TABLES.items()
+        f"{method}_{audit}_table": ["monotonicity", "--method", method, *argv, "--format", "table"]
+        for method, tables in TABLES.items()
+        for audit, argv in tables.items()
     },
+    "npgm_panel_random_seed1_20000": [
+        "monotonicity", "--method", "npgm", "--data", PANEL_AUDIT,
+        "--mode", "random", "--trials", "20000", "--seed", "1", "--format", "json",
+    ],
     "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
     "fit": ["fit", "--format", "json"],

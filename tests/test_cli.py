@@ -320,6 +320,28 @@ class TestMonotonicityCommand:
             "(base plus one), dataset has 3\n"
         )
 
+    @pytest.mark.parametrize(
+        "mode",
+        [["--obs", "1"], ["--mode", "grid"], ["--mode", "random", "--trials", "20000", "--seed", "1"]],
+        ids=["single", "grid", "random"],
+    )
+    def test_melser_on_four_periods_runs_no_audit(self, capsys, monkeypatch, mode):
+        def no_audit(*args):
+            raise AssertionError("an audit ran")
+
+        for name in ("check_monotonicity", "search_violations", "random_perturbation_audit"):
+            monkeypatch.setattr(monotonicity, name, no_audit)
+        data = ["--data", str(Path(__file__).parent / "data" / "audit_parity" / "panel_audit.csv")]
+        code, out, err = run(capsys, "monotonicity", "--method", "hpm", *data, *mode, "--melser", "area")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the association diagnostic needs exactly two periods "
+            "(base plus one), dataset has 4\n"
+        )
+        # usage errors still come first
+        code, _, err = run(capsys, "monotonicity", *data, "--mode", "random", "--melser", "area")
+        assert code == 2 and err.endswith("error: --seed is required in random mode\n")
+
     def test_zero_width_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "hw.csv"
         path.write_text("id,dataset,price_usd,h,w\n1,A,100,4,2\n2,A,120,3,0\n3,B,300,3,5\n")

@@ -267,6 +267,32 @@ def count_judged(monkeypatch):
     return calls
 
 
+@contextmanager
+def recorded_blocks():
+    """The shape of each block of draws the random audit checks for overflow, in order."""
+    blocks = []
+    check_raised = monotonicity._check_raised
+
+    def recording_check_raised(ds, rows, increments, *args):
+        blocks.append(increments.shape)
+        return check_raised(ds, rows, increments, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monotonicity, "_check_raised", recording_check_raised)
+        yield blocks
+
+
+def fall_bound(ds, method):
+    """The random audit's bound, per period, on how far a trial can take the judge's sum below 0."""
+    levels = monotonicity._Levels(ds, method)
+    targets = levels.targets
+    return monotonicity._fall_bound(len(ds), levels._log_prices[targets], levels._weights[:, targets].T)
+
+
+def proves_compliance(ds, method):
+    return bool((fall_bound(ds, method) <= monotonicity.RELATIVE_SLACK / 2).all())
+
+
 # a price step of an ulp or two, which log barely resolves, and a 1e-10
 # step, which moves a level by about the relative slack
 NEAR_ONE = (1.0 + 2.0**-52, 1.0000000001)
@@ -388,6 +414,74 @@ class TestScreen:
             assert_identical_reports(report, judge_every_random_perturbation(ds, method, trials, 7))
             assert_violations_replay(ds, method, report)
             assert_judge_is_exact(ds, method)
+
+
+def non_negative_methods(ds, spec):
+    """npgm and the pinned-log-area hpm model, whose non-base weights are >= 0 up to float noise."""
+    base = spec.reference_period
+    return (npgm_method(base), hpm_method(pinned_log_area_spec(base)))
+
+
+class TestFallBound:
+    """The random audit draws nothing when the signs of W prove that no level can fall."""
+
+    @given(design=designs(), seed=st.integers(0, 2**32 - 1))
+    @HYPOTHESIS
+    def test_non_negative_weights_skip_the_draws(self, design, seed):
+        ds, spec = design
+        trials = STEP + 3
+        for method in non_negative_methods(ds, spec):
+            assert proves_compliance(ds, method)
+            with recorded_blocks() as blocks:
+                report = random_perturbation_audit(ds, method, trials, seed)
+            assert blocks == []
+            assert_identical_reports(report, judge_every_random_perturbation(ds, method, trials, seed))
+
+    def test_non_negative_weights_skip_the_draws_at_blas_sizes(self, tmp_path):
+        path = generated_csv(tmp_path / "sales.csv", n_sales=1500, n_periods=6, area_trend=1.0)
+        ds = load_csv(path)
+        for method in non_negative_methods(ds, ModelSpec(regressors=("area", "aspect_ratio"), reference_period="A")):
+            assert proves_compliance(ds, method)
+            with recorded_blocks() as blocks:
+                report = random_perturbation_audit(ds, method, 200, 7)
+            assert blocks == []
+            assert_identical_reports(report, judge_every_random_perturbation(ds, method, 200, 7))
+
+    def test_bundled_hpm_draws_every_trial(self, renoir):
+        method = hpm_method(EXAMPLE_SPEC)
+        bound = fall_bound(renoir, method)
+        # item 9's worst case in B: 1 - 2**(sum of its negative weights), 14.2%
+        assert 1 - math.exp(-bound[1]) == pytest.approx(0.142, abs=5e-4)
+        assert not proves_compliance(renoir, method)
+        with recorded_blocks() as blocks:
+            report = random_perturbation_audit(renoir, method, 1000, 7)
+        assert blocks == [(1000, 15)]
+        assert report.violations
+
+    def test_bound_holds_the_box_witness(self, renoir):
+        # raising exactly B's negative-weight sales to just under double their
+        # price takes level B's sum to its bound, and no further
+        levels = monotonicity._Levels(renoir, hpm_method(EXAMPLE_SPEC))
+        bound = fall_bound(renoir, hpm_method(EXAMPLE_SPEC))
+        targets = levels.targets
+        negative = levels._weights[1, targets] < 0
+        block = np.where(negative, renoir.price[targets] * (1 - 1e-9), 0.0)
+        after = levels.after(targets, block[None])[0, 1]
+        s = math.log(after / levels._level_before[1])
+        assert -bound[1] <= s < -bound[1] * (1 - 1e-8)
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_draws_when_a_raised_price_could_overflow(self, renoir, step):
+        # a price at the cap is raised to below the float maximum; one an ulp
+        # above it might not be, and the draws check every trial as before
+        price = renoir.price.copy()
+        price[renoir.row("29")] = np.nextafter(monotonicity._PRICE_CAP, np.inf) if step else monotonicity._PRICE_CAP
+        ds = replace(renoir, price=price)
+        method = npgm_method("A")
+        with recorded_blocks() as blocks:
+            report = random_perturbation_audit(ds, method, 1000, 7)
+        assert blocks == [(1000, 15)] * step
+        assert_identical_reports(report, judge_every_random_perturbation(ds, method, 1000, 7))
 
 
 def assert_margin_bounds_the_scores(ds, spec, blocks=3):
@@ -572,25 +666,18 @@ class TestCost:
             assert random_perturbation_audit(renoir, method, 150, 3) == default
 
     def test_draw_blocks_hold_at_most_the_budget(self, renoir, monkeypatch):
-        blocks = []
-        check_raised = monotonicity._check_raised
-
-        def recording_check_raised(ds, rows, increments, *args):
-            blocks.append(increments.shape)
-            return check_raised(ds, rows, increments, *args)
-
-        monkeypatch.setattr(monotonicity, "_check_raised", recording_check_raised)
         method = hpm_method(EXAMPLE_SPEC)
-        random_perturbation_audit(renoir, method, 1000, 7)
-        assert blocks == [(1000, 15)]
-        blocks.clear()
-        with draw_step(renoir, method, STEP):
-            random_perturbation_audit(renoir, method, 3 * STEP + 7, 7)
-        assert blocks == [(STEP, 15)] * 3 + [(7, 15)]
-        blocks.clear()
-        monkeypatch.setattr(monotonicity, "_DRAW_BUDGET", 2 * 15 * 7 - 1)
-        random_perturbation_audit(renoir, method, 20, 7)
-        assert blocks == [(6, 15)] * 3 + [(2, 15)]
+        with recorded_blocks() as blocks:
+            random_perturbation_audit(renoir, method, 1000, 7)
+            assert blocks == [(1000, 15)]
+            blocks.clear()
+            with draw_step(renoir, method, STEP):
+                random_perturbation_audit(renoir, method, 3 * STEP + 7, 7)
+            assert blocks == [(STEP, 15)] * 3 + [(7, 15)]
+            blocks.clear()
+            monkeypatch.setattr(monotonicity, "_DRAW_BUDGET", 2 * 15 * 7 - 1)
+            random_perturbation_audit(renoir, method, 20, 7)
+            assert blocks == [(6, 15)] * 3 + [(2, 15)]
 
 
 class TestRankDeficiency:
