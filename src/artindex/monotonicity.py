@@ -386,8 +386,13 @@ def random_perturbation_audit(
     # 1 - exp(-bound) <= bound: a bound of half the slack leaves the other half
     # for the rounding of exp, the product and the comparison. No price at
     # most _PRICE_CAP can overflow when raised, so no trial would be refused.
-    bound = _fall_bound(len(ds), log_prices, weights)
-    if prices.max() <= _PRICE_CAP and (bound <= RELATIVE_SLACK / 2).all():
+    # One weight below -RELATIVE_SLACK fails the bound alone: that cheap test
+    # comes first, so that an audit with real negative weights pays little.
+    if (
+        prices.max() <= _PRICE_CAP
+        and weights.min() >= -RELATIVE_SLACK
+        and (_fall_bound(len(ds), log_prices, weights) <= RELATIVE_SLACK / 2).all()
+    ):
         return MonotonicityReport(method=levels.before.method, trials=int(trials), violations=_Violations())
     rng = np.random.default_rng(seed)
     margin = _rounding_margin(len(ds), log_prices, weights)

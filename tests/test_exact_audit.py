@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from artindex import (
+    IndexMethod,
     LevelComparison,
     ModelSpec,
     MonotonicityReport,
@@ -457,6 +458,17 @@ class TestFallBound:
             report = random_perturbation_audit(renoir, method, 1000, 7)
         assert blocks == [(1000, 15)]
         assert report.violations
+
+    def test_many_small_negative_weights_are_drawn(self, renoir):
+        # each weight is above -RELATIVE_SLACK, but together they can lower B past it
+        series, w = npgm_method("A").evaluate(renoir)
+        w = w.copy()
+        w[1, renoir.period_codes == 1] = -0.9 * monotonicity.RELATIVE_SLACK
+        method = IndexMethod(lambda ds: (series, w))
+        assert not proves_compliance(renoir, method)
+        report = random_perturbation_audit(renoir, method, 50, 7)
+        assert report.violations
+        assert_identical_reports(report, judge_every_random_perturbation(renoir, method, 50, 7))
 
     def test_bound_holds_the_box_witness(self, renoir):
         # raising exactly B's negative-weight sales to just under double their
