@@ -44,8 +44,8 @@ from .indexes import (
     DEFAULT_BASE_VALUE, HPM, NPGM, _require_base, hpm_index_from_result, hpm_method, npgm_index, npgm_method,
 )
 from .report import (
-    Report, index_series_dict, monotonicity_report_dict, regression_result_dict, render_index_plot_data,
-    render_index_table, render_monotonicity_table, render_regression_table,
+    Report, _Records, index_series_dict, monotonicity_report_dict, regression_result_dict,
+    render_index_plot_data, render_index_table, render_monotonicity_table, render_regression_table,
 )
 
 if TYPE_CHECKING:
@@ -198,8 +198,9 @@ def _cmd_monotonicity(args) -> int:
         if args.seed is None:
             _usage_error("--seed is required in random mode")
         config.update(trials=args.trials, seed=args.seed)
+    melser = None
     if args.melser is not None:
-        # refused before any audit: the period count is known once the data is loaded
+        # computed before any audit, so that a refused --melser runs none
         config["melser"] = args.melser
         others = [p for p in ds.periods if p != base]
         if len(others) != 1:
@@ -207,6 +208,7 @@ def _cmd_monotonicity(args) -> int:
                 "the association diagnostic needs exactly two periods "
                 f"(base plus one), dataset has {len(ds.periods)}"
             )
+        melser = melser_diagnostic(ds, args.melser, base, others[0])
 
     comparisons = None
     if args.mode == "single":
@@ -221,10 +223,8 @@ def _cmd_monotonicity(args) -> int:
         mono = search_violations(ds, method, grid)
     else:
         mono = random_perturbation_audit(ds, method, args.trials, args.seed)
-    if args.melser is not None:
-        mono = dataclasses.replace(
-            mono, melser_statistic=melser_diagnostic(ds, args.melser, base, others[0])
-        )
+    if melser is not None:
+        mono = dataclasses.replace(mono, melser_statistic=melser)
 
     body = monotonicity_report_dict(mono, comparisons)
     report = Report(command="monotonicity", config=config, body=body)
@@ -236,8 +236,12 @@ def _cmd_reproduce(args) -> int:
     from .replication import write_replication_outputs
 
     summary = write_replication_outputs(args.outdir)
+    checks = summary.checks
     body = {
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in summary.checks],
+        "checks": _Records(
+            ("name", "passed", "detail"),
+            ([c.name for c in checks], [c.passed for c in checks], [c.detail for c in checks]),
+        ),
         "passed": summary.passed,
         "output_dir": str(args.outdir),
     }

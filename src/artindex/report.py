@@ -1,11 +1,11 @@
 """Report container and serialization for the command-line surface.
 
-Reports hold JSON-ready data (an audit's violations as ``_Records``
-columns); equal inputs give equal text, byte for byte. The text
-is exactly ``json.dumps(payload, indent=2)``: floats are written as
-their shortest representation that round-trips exactly (up to 17
-significant digits), spelled ``NaN``/``Infinity``/``-Infinity`` when not
-finite. ``Report.to_json`` writes it with ``_indented_json`` rather than
+Reports hold JSON-ready data, each record list as ``_Records`` columns;
+equal inputs give equal text, byte for byte. The text is exactly
+``json.dumps(payload, indent=2)``: floats are written as their shortest
+representation that round-trips exactly (up to 17 significant digits),
+spelled ``NaN``/``Infinity``/``-Infinity`` when not finite.
+``Report.to_json`` writes it with ``_indented_json`` rather than
 ``json.dumps``, because an ``indent`` sends ``json.dumps`` to its
 pure-Python generator encoder before Python 3.13. The writer handles
 only what artindex writes, exact-type payloads, and builds each
@@ -13,14 +13,16 @@ container's text in one ``str.join``: an item that is a scalar of exactly
 ``str``, ``int``, ``float``, ``bool`` or ``None`` type is written inline
 through a type-to-text table, and a container of two or more such
 scalars (under ``str`` keys) is written by the stdlib's C encoder, with
-``"," + indent`` between its items. A record list (more records than
-keys, all under one tuple of ``str`` keys) is written column by column,
-each record filled from one ``%`` template: ``_records`` takes the keys
-and one column per key, transposed from a list of same-keyed dicts or
-kept as columns from the start, as an audit's violations are. Anything
-else (a non-``str`` key, a subclass such as ``np.float64``, an unknown
-type), and the whole payload on a Python without the C encoder, is
-written by ``json.dumps`` itself, with ``_Records`` as lists of dicts.
+``"," + indent`` between its items. Each record list is built as a
+``_Records`` (keys and one column per key) where its report is made: a
+fit's terms, an audit's violations and comparisons, ``reproduce``'s
+checks. One with more records than keys is written column by column,
+each record filled from one ``%`` template by ``_records``; a shorter one
+is written record by record. A plain list of dicts is written dict by
+dict. Anything else (a non-``str`` key, a subclass such as
+``np.float64``, an unknown type), and the whole payload on a Python
+without the C encoder, is written by ``json.dumps`` itself, with
+``_Records`` as lists of dicts.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ def _text(o, indent: str) -> str:
     Only exact-type payloads are written here, each container in one join:
     an item that is an exact-type scalar inline through ``_SCALAR_TEXT``, a
     container of two or more of them (under ``str`` keys) by the C encoder,
-    a record list (or ``_Records``) by ``_records``, and any other item by a
-    call of its own. Anything else (a non-``str`` key, a scalar subclass, an
-    unknown type) is written by ``_stdlib_text``.
+    a ``_Records`` with more records than keys by ``_records`` (a shorter
+    one as its record dicts), and any other item by a call of its own. A
+    plain list of dicts is written dict by dict. Anything else (a non-``str``
+    key, a scalar subclass, an unknown type) is written by ``_stdlib_text``.
     """
     if type(o) is dict:
         if not o:
@@ -186,13 +189,8 @@ def _text(o, indent: str) -> str:
         if not o:
             return "[]"
         inner = indent + "  "
-        if len(o) > 1:
-            if _SCALARS.issuperset(map(type, o)):
-                return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
-            # by column only where that takes fewer encoder calls than by record
-            if type(o[0]) is dict and 0 < len(o[0]) < len(o) and set(map(type, o)) == {dict}:
-                if _STR.issuperset(map(type, o[0])) and len(set(map(tuple, o))) == 1:  # a record list
-                    return "[" + inner + _records(o[0], zip(*map(dict.values, o)), inner) + indent + "]"
+        if len(o) > 1 and _SCALARS.issuperset(map(type, o)):
+            return "[" + inner + "".join(_scalar_items("," + inner)(o, 0))[1:-1] + indent + "]"
         get = _SCALAR_TEXT.get
         items = [f(v) if (f := get(type(v))) else _text(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
@@ -221,17 +219,12 @@ def index_series_dict(series: IndexSeries) -> dict:
 
 
 def regression_result_dict(result: RegressionResult) -> dict:
+    statistics = result.coefficients, result.standard_errors, result.t_statistics, result.p_values
     return {
-        "terms": [
-            {
-                "name": name,
-                "coefficient": float(result.coefficients[j]),
-                "standard_error": float(result.standard_errors[j]),
-                "t_statistic": float(result.t_statistics[j]),
-                "p_value": float(result.p_values[j]),
-            }
-            for j, name in enumerate(result.column_names)
-        ],
+        "terms": _Records(
+            ("name", "coefficient", "standard_error", "t_statistic", "p_value"),
+            (result.column_names, *(column.tolist() for column in statistics)),
+        ),
         "n_observations": result.n_observations,
         "degrees_of_freedom": result.degrees_of_freedom,
         "sigma2": float(result.sigma2),
@@ -256,15 +249,15 @@ def monotonicity_report_dict(
         "melser_statistic": report.melser_statistic,
     }
     if comparisons is not None:
-        body["comparisons"] = [
-            {
-                "period": c.period,
-                "level_before": float(c.level_before),
-                "level_after": float(c.level_after),
-                "compliant": c.compliant,
-            }
-            for c in comparisons
-        ]
+        body["comparisons"] = _Records(
+            ("period", "level_before", "level_after", "compliant"),
+            (
+                [c.period for c in comparisons],
+                [float(c.level_before) for c in comparisons],
+                [float(c.level_after) for c in comparisons],
+                [c.compliant for c in comparisons],
+            ),
+        )
     return body
 
 
@@ -313,12 +306,10 @@ def render_monotonicity_table(body: dict) -> str:
     ]
     if body.get("melser_statistic") is not None:
         lines.append(f"melser statistic: {body['melser_statistic']:.6f}")
-    for cmp in body.get("comparisons", []):
-        lines.append(
-            f"period {cmp['period']}: level {cmp['level_before']:.4f} -> "
-            f"{cmp['level_after']:.4f} "
-            f"({'ok' if cmp['compliant'] else 'VIOLATION'})"
-        )
+    if "comparisons" in body:
+        for period, before, after, compliant in zip(*body["comparisons"].columns):
+            verdict = "ok" if compliant else "VIOLATION"
+            lines.append(f"period {period}: level {before:.4f} -> {after:.4f} ({verdict})")
     violations = body["violations"]
     if violations:
         lines.append(f"violations ({len(violations)}):")

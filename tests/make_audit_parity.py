@@ -1,15 +1,16 @@
 """Regenerate the expected outputs of the parity corpus.
 
 Each case in ``CASES`` is one ``artindex`` command. On the bundled data:
-the eight ``monotonicity`` audits with ``--format json``, ``index`` for
-both methods (as JSON and as ``--format plot`` CSV text) and ``fit``. On
-``PANEL_AUDIT``, 150 sales over four periods with a strong area trend
-(``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4, area_trend=1.0)``,
-checked in so that the corpus does not hang on numpy's random stream):
-six multi-period ``monotonicity`` audits and a 20,000-trial npgm random
-audit, each naming the file by its path from the repository root, which
-the report echoes. Six more cases (``TABLES``) print four hpm and two
-npgm audits with ``--format table``. Every case runs
+the eight ``monotonicity`` audits with ``--format json``, an hpm grid
+audit with ``--melser area``, ``index`` for both methods (as JSON, as a
+table and as ``--format plot`` CSV text) and ``fit`` (as JSON and as a
+table). On ``PANEL_AUDIT``, 150 sales over four periods with a strong
+area trend (``perfbench/gen.py``'s ``write_csv(path, 2, 150, 4,
+area_trend=1.0)``, checked in so that the corpus does not hang on numpy's
+random stream): six multi-period ``monotonicity`` audits, a 20,000-trial
+npgm random audit and ``fit``, each naming the file by its path from the
+repository root, which the report echoes. Seven more cases (``TABLES``)
+print five hpm and two npgm audits with ``--format table``. Every case runs
 from the repository root. Its stdout is stored in
 ``tests/data/audit_parity/<name>.json``, or ``<name>.txt`` for a table
 or plot, and its exit status in ``tests/data/audit_parity/exit_codes.json``.
@@ -65,6 +66,7 @@ TABLES = {
         "random_seed7": AUDITS["random_seed7"],
         "single_obs29": AUDITS["single_obs29"],
         "panel_grid2": ["--data", PANEL_AUDIT, *PANEL_AUDITS["grid2"]],
+        "grid_melser_area": [*AUDITS["grid"], "--melser", "area"],
     },
     "npgm": {
         "grid": AUDITS["grid"],
@@ -94,11 +96,18 @@ CASES = {
         "monotonicity", "--method", "npgm", "--data", PANEL_AUDIT,
         "--mode", "random", "--trials", "20000", "--seed", "1", "--format", "json",
     ],
+    "hpm_grid_melser_area": [
+        "monotonicity", "--method", "hpm", *AUDITS["grid"], "--melser", "area", "--format", "json",
+    ],
     "index_npgm": ["index", "--method", "npgm", "--format", "json"],
     "index_hpm": ["index", "--method", "hpm", "--format", "json"],
     "fit": ["fit", "--format", "json"],
+    "fit_panel": ["fit", "--data", PANEL_AUDIT, "--format", "json"],
     "index_npgm_plot": ["index", "--method", "npgm", "--format", "plot"],
     "index_hpm_plot": ["index", "--method", "hpm", "--format", "plot"],
+    "index_npgm_table": ["index", "--method", "npgm", "--format", "table"],
+    "index_hpm_table": ["index", "--method", "hpm", "--format", "table"],
+    "fit_table": ["fit", "--format", "table"],
 }
 
 # commands refused before (exit 2) or while (exit 3) reading the data
@@ -122,6 +131,8 @@ USAGE_ERRORS = {
     "abbreviated_config": ["--conf", "x", "index"],
     "negative_base_value": ["index", "--base-value", "-5"],
     "negative_seed": ["monotonicity", "--mode", "random", "--seed", "-1"],
+    "no_header_with_value": ["index", "--no-header=yes"],
+    "top_level_unknown_option": ["--bogus"],
 }
 
 # commands whose options parse but whose data or model is refused (exit 3)
@@ -135,6 +146,8 @@ DATA_ERRORS = {
     "melser_four_periods": [
         "monotonicity", "--data", PANEL_AUDIT, "--mode", "grid", "--multipliers", "2", "--melser", "area",
     ],
+    "melser_unknown_characteristic": ["monotonicity", "--obs", "29", "--melser", "bogus"],
+    "base_with_space": ["index", "--base", "-Z Z"],
 }
 
 

@@ -37,7 +37,7 @@ def test_corpus_holds_every_case():
     assert sorted(p.stem for p in DATA.iterdir()) == sorted(DATA_ERRORS)
     stored = [p for p in [*CORPUS.glob("*.json"), *CORPUS.glob("*.txt")] if p.name != "exit_codes.json"]
     assert sorted(stored) == sorted(case_path(name) for name in CASES)
-    assert sum(p.suffix == ".txt" for p in stored) == 8
+    assert sum(p.suffix == ".txt" for p in stored) == 12
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

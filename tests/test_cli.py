@@ -22,6 +22,10 @@ from artindex import SaleObservation, fit, with_price_scaled
 
 from conftest import EXAMPLE_SPEC, generated_csv
 
+PANEL_AUDIT = ["--data", str(Path(__file__).parent / "data" / "audit_parity" / "panel_audit.csv")]
+FOUR_PERIODS = "the association diagnostic needs exactly two periods (base plus one), dataset has 4"
+RANDOM_20000 = ["--mode", "random", "--trials", "20000", "--seed", "1"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -321,23 +325,25 @@ class TestMonotonicityCommand:
         )
 
     @pytest.mark.parametrize(
-        "mode",
-        [["--obs", "1"], ["--mode", "grid"], ["--mode", "random", "--trials", "20000", "--seed", "1"]],
-        ids=["single", "grid", "random"],
+        "data, argv, error",
+        [
+            (PANEL_AUDIT, ["--obs", "1", "--melser", "area"], FOUR_PERIODS),
+            (PANEL_AUDIT, ["--mode", "grid", "--melser", "area"], FOUR_PERIODS),
+            (PANEL_AUDIT, [*RANDOM_20000, "--melser", "area"], FOUR_PERIODS),
+            # the bundled data has two periods, but no such characteristic
+            ([], [*RANDOM_20000, "--melser", "bogus"],
+             "unknown characteristic 'bogus'; available: area, aspect_ratio, log_area"),
+        ],
+        ids=["single", "grid", "random", "bundled-unknown"],
     )
-    def test_melser_on_four_periods_runs_no_audit(self, capsys, monkeypatch, mode):
+    def test_melser_on_four_periods_runs_no_audit(self, capsys, monkeypatch, data, argv, error):
         def no_audit(*args):
             raise AssertionError("an audit ran")
 
         for name in ("check_monotonicity", "search_violations", "random_perturbation_audit"):
             monkeypatch.setattr(monotonicity, name, no_audit)
-        data = ["--data", str(Path(__file__).parent / "data" / "audit_parity" / "panel_audit.csv")]
-        code, out, err = run(capsys, "monotonicity", "--method", "hpm", *data, *mode, "--melser", "area")
-        assert (code, out) == (3, "")
-        assert err == (
-            "error: the association diagnostic needs exactly two periods "
-            "(base plus one), dataset has 4\n"
-        )
+        code, out, err = run(capsys, "monotonicity", "--method", "hpm", *data, *argv)
+        assert (code, out, err) == (3, "", f"error: {error}\n")
         # usage errors still come first
         code, _, err = run(capsys, "monotonicity", *data, "--mode", "random", "--melser", "area")
         assert code == 2 and err.endswith("error: --seed is required in random mode\n")

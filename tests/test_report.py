@@ -55,7 +55,8 @@ trees = st.recursive(
 objects = st.dictionaries(keys, trees, max_size=3)
 
 # lists of 2-6 dicts under one tuple of str keys, such as an audit's
-# violations; the writer writes those with more dicts than keys column by column
+# violations, and the same records as _Records, which the writer writes
+# column by column when they hold more records than keys
 record_keys = st.one_of(st.sampled_from(["%", "%s", "%%d", '"', "\n", "é€😀", "", "a"]), texts)
 exact_scalars = st.one_of(
     st.none(),
@@ -108,6 +109,18 @@ def record_lists(draw, near_miss=False):
     return records
 
 
+def columns_of(records: list[dict]) -> _Records:
+    """Same-keyed ``records`` as a report holds them: one column per key."""
+    return _Records(tuple(records[0]), [[r[k] for r in records] for k in records[0]])
+
+
+def as_records(o):
+    """``json.dumps``'s ``default`` for the expected text: a ``_Records`` as the records it stands for."""
+    if isinstance(o, _Records):
+        return [{key: column[i] for key, column in zip(o.keys, o.columns)} for i in range(len(o.columns[0]))]
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=texts, config=objects, body=objects, warnings=st.lists(texts, max_size=3))
 def test_to_json_matches_stdlib(command, config, body, warnings):
@@ -123,14 +136,18 @@ def test_writer_matches_stdlib(tree):
 
 
 @settings(max_examples=100, deadline=None)
-@given(records=st.one_of(record_lists(), record_lists().map(tuple), record_lists(near_miss=True)))
+@given(
+    records=st.one_of(
+        record_lists(), record_lists().map(tuple), record_lists(near_miss=True), record_lists().map(columns_of)
+    )
+)
 def test_record_lists_match_stdlib(records):
     tree = {"body": {"violations": records}}
-    assert _indented_json(records) == json.dumps(records, indent=2)
-    assert _indented_json(tree) == json.dumps(tree, indent=2)
+    assert _indented_json(records) == json.dumps(records, indent=2, default=as_records)
+    assert _indented_json(tree) == json.dumps(tree, indent=2, default=as_records)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "c_make_encoder", None)
-        assert _indented_json(tree) == json.dumps(tree, indent=2)
+        assert _indented_json(tree) == json.dumps(tree, indent=2, default=as_records)
 
 
 class Name(str):
@@ -141,20 +158,18 @@ class Level(enum.IntEnum):
     LOW = 1
 
 
-def as_records(o):
-    """``json.dumps``'s ``default`` for the expected text: a ``_Records`` as the records it stands for."""
-    if isinstance(o, _Records):
-        return [{key: column[i] for key, column in zip(o.keys, o.columns)} for i in range(len(o.columns[0]))]
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-# a grid audit's violations: more records than keys, so written column by column
+# a grid audit's violations, as a plain list of dicts
 VIOLATIONS = [
     {"description": f"obs {obs} price x{m:g}", "period": "B", "level_before": 100.5, "level_after": 100.5 - m,
      "perturbation": {obs: 1500.25 * m}}
     for obs in ("25", "28", "29")
     for m in (1.1, 2.0)
 ]
+# records under keys that a % template or a JSON string must escape
+ESCAPED_KEYS = [
+    {"%": 1, "%s": "%s", '"\n': None, "é€😀": 2**70, "": float("nan")},
+    {"%": -0.0, "%s": "%d", '"\n': True, "é€😀": -(2**70), "": float("-inf")},
+] * 3
 EDGE_TREES = [
     {},
     [],
@@ -180,11 +195,17 @@ EDGE_TREES = [
     {"a": 1.0, 2: 2.0},
     {"a": {"b": 1.0}, "c": [[1.0]]},
     {"a": {1.5: [1.0, None]}, "b": {"c": np.float64(2.0)}},
-    # record lists, which the C encoder writes column by column, and near misses
+    # record lists as _Records, which the C encoder writes column by column
+    # when they hold more records than keys and record by record otherwise
+    columns_of(VIOLATIONS),
+    {"body": {"violations": columns_of(VIOLATIONS)}},
+    columns_of(ESCAPED_KEYS),
+    columns_of(VIOLATIONS[:2]),
+    # the same as plain lists of dicts, written dict by dict, and near misses
     VIOLATIONS,
     tuple(VIOLATIONS),
     {"body": {"violations": VIOLATIONS}},
-    [{"%": 1, "%s": "%s", '"\n': None, "é€😀": 2**70, "": float("nan")}, {"%": -0.0, "%s": "%d", '"\n': True, "é€😀": -(2**70), "": float("-inf")}] * 3,
+    ESCAPED_KEYS,
     [{"a": {"x": 1.0}, "b": [1.0]}, {"a": {"y": np.float64(2.0)}, "b": [float("inf")]}, {"a": {"z": 3}, "b": []}],
     [{"a": {1: 1.0}}, {"a": {"1": 2.0}}],
     [{"a": {"x": 1.0}}, {"a": {"y": 2.0, "z": 3.0}}],
