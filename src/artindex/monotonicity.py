@@ -11,20 +11,20 @@ not lower the index. The auditors test it constructively against an
 * :func:`random_perturbation_audit` draws seeded random non-negative
   increment vectors over the non-base observations.
 
-Both indexes are log-linear in prices with characteristics held fixed,
-and their weights W = d log I / d log p do not depend on prices. Each
-audit therefore computes the index and W once (one QR for hpm), and a
-perturbed level exactly as ``level_before[q] * exp(W[q] @ x)`` with
-x = log(p + inc) - log p, with no refit. A grid perturbation raises one
-sale, so W[q] @ x is one product, and the grid computes all of them in one
-array pass. The random audit scores each block of trials with one product
-against W, under a rounding margin fixed once per audit from its price box
-(every increment below its sale's price), and judges exactly only the
-trials whose score is not clear of that margin: all of a block's flagged
-trials in one array pass, with one ``W @ x`` matvec per trial, which is
-the sum :func:`check_monotonicity` computes for a block of one. Each
-violation an audit reports replays through :func:`check_monotonicity`
-bit for bit.
+Both indexes are log-linear in prices with characteristics held fixed, and
+their weights W = d log I / d log p do not depend on prices. Each audit
+therefore computes the index and W once (one QR for hpm), into the one
+:class:`_Audit` it reads them through, and a perturbed level exactly as
+``level_before[q] * exp(W[q] @ x)`` with x = log(p + inc) - log p, with no
+refit. A grid perturbation raises one sale, so W[q] @ x is one product,
+and the grid computes all of them in one array pass. The random audit
+scores each block of trials with one product against W, under a rounding
+margin fixed once per audit from its price box (every increment below its
+sale's price), and judges exactly only the trials whose score is not clear
+of that margin: all of a block's flagged trials in one array pass, with
+one ``W @ x`` matvec per trial, which is the sum
+:func:`check_monotonicity` computes for a block of one. Each violation an
+audit reports replays through :func:`check_monotonicity` bit for bit.
 An audit keeps its violations as columns, one list per :class:`Violation`
 field from its array pass, which the report writes; the :class:`Violation`
 objects are built on first use.
@@ -32,7 +32,7 @@ Before drawing, the random audit bounds how far any trial in its box can
 lower each level. Only negative weights can lower one, by at most
 1 - 2^(sum of its negative weights); the bound adds a rounding allowance
 that scales with those weights and the logs' rounding, not with
-n * eps * sum |W| |x| (see :func:`_fall_bound`). When no level can fall by
+n * eps * sum |W| |x| (see :meth:`_Audit.fall_bound`). When no level can fall by
 more than ``RELATIVE_SLACK`` and no audited price is above ``_PRICE_CAP``,
 the audit returns its report with no draws: compliant, with the same trial
 count. npgm, whose non-base weights are all >= 0, always does; an hpm model
@@ -159,33 +159,78 @@ class MonotonicityReport:
         return not self.violations
 
 
-class _Levels:
-    """Index levels of one dataset, before and after price increments, and its audited sales."""
+class _Audit:
+    """The series ``before`` and W (``weights``) of one ``method.evaluate(ds)``, and the audited sales.
+
+    ``level_before`` and W's rows follow ``ds.periods``. The audited sales are the non-base rows
+    ``targets`` of ``ds``, in periods ``own``, with ``target_weights[j, q] = W[q, targets[j]]``.
+    """
 
     def __init__(self, ds: Dataset, method: IndexMethod):
-        self.before, self._weights = method.evaluate(ds)
-        self._ds = ds
-        self._log_prices = np.log(ds.price)
-        self._level_before = np.array([self.before.levels[p] for p in ds.periods])
+        self.before, self.weights = method.evaluate(ds)
+        self.ds, self.log_prices = ds, np.log(ds.price)
+        self.level_before = np.array([self.before.levels[p] for p in ds.periods])
         self.targets = np.flatnonzero(ds.period_codes != ds.periods.index(self.before.base_period))
+        self.own, self.target_log_prices = ds.period_codes[self.targets], self.log_prices[self.targets]
+        self.target_weights = self.weights[:, self.targets].T
 
     def after(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
         """Every period's level after each trial of ``block``.
 
         Trial ``k`` adds ``block[k, j]`` to the price of sale ``rows[j]``.
         """
-        ds = self._ds
-        log_change = np.log(ds.price[rows] + block) - self._log_prices[rows]
+        ds = self.ds
+        log_change = np.log(ds.price[rows] + block) - self.log_prices[rows]
         x, s = np.zeros(len(ds)), np.empty((len(block), len(ds.periods)))
         for k, change in enumerate(log_change):
             x[rows] = change
             # one matvec per trial: a k x n product may sum W[q] @ x in another order
-            s[k] = self._weights @ x
-        return self._level_before * np.exp(s)
+            s[k] = self.weights @ x
+        return self.level_before * np.exp(s)
 
-    def fell(self, after: np.ndarray) -> np.ndarray:
-        """Where a level after fell below its level before by more than the relative slack."""
-        return (self._level_before - after) > RELATIVE_SLACK * self._level_before
+    def rounding_margin(self) -> np.ndarray:
+        """Per period, how far the random audit's score of a trial can sit from :meth:`after`'s sum."""
+        # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. The exact judge
+        # sums s over all n sales in one matvec (unraised sales add exactly 0:
+        # both logs read one value); the score sums it in another order, and its
+        # logs may differ from the judge's by an ulp, eps * (|a| + |b|) a sale. Each side
+        # rounds x by eps/2 * |x|, and a dot product of n terms in any order by
+        # n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2002, section 3.1): the two values of s differ by at most
+        # (n + 2) * eps * sum |W| (|a| + |b|). Every increment is a draw in [0, 1)
+        # times its sale's price, so a - b lies in [0, log 2] up to rounding and
+        # |a| + |b| < 2 |b| + 1: the bound below holds for every trial of the
+        # audit, with room for its own rounding.
+        n, eps = len(self.ds), np.finfo(np.float64).eps
+        return 4 * n * eps * ((2 * np.abs(self.target_log_prices) + 1) @ np.abs(self.target_weights))
+
+    def fall_bound(self) -> np.ndarray:
+        """Per period, how far any random trial can take :meth:`after`'s sum below zero."""
+        # The judge sums s = W[q] @ x over all n sales in one matvec, with
+        # x = a - b, a = log(p + inc), b = log p; unraised sales add exactly 0.
+        # Every increment is below its sale's price, so p + inc rounds to at most
+        # 2p and a - b lies in [0, log 2]. Each log is within an ulp, eps |a| or
+        # eps |b|, and |a| + |b| <= 2 |b| + log 2; with the subtraction's own
+        # rounding, the computed x_j lies in [-d_j, log 2 + d_j] with
+        # d_j = eps * (2 |b_j| + 2).
+        # A dot product of n terms in any order is sum W_j x_j (1 + t_j) with
+        # |t_j| <= gamma_n = n u / (1 - n u), u = eps / 2 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2002, section 3.1). A term is below
+        # zero only where W_j >= 0 and x_j < 0, by at most W_j d_j, or where
+        # W_j < 0, by at most |W_j| (log 2 + d_j). So the computed s is at least
+        # -(1 + gamma_n) N with N = log 2 * sum_{W_j < 0} |W_j| + sum |W_j| d_j:
+        # the n-fold rounding error scales N, which is eps-sized when no weight
+        # is negative, not sum |W| |x| as in rounding_margin. The factor
+        # 1 + 4 n eps covers gamma_n and the rounding of N's own sums below.
+        n, eps, weights = len(self.ds), np.finfo(np.float64).eps, self.target_weights
+        negative = -np.minimum(weights, 0.0).sum(axis=0)
+        rounding = eps * ((2 * np.abs(self.target_log_prices) + 2) @ np.abs(weights))
+        return (1 + 4 * n * eps) * (math.log(2) * negative + rounding)
+
+
+def _fell(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Where a level after fell below its level before by more than the relative slack."""
+    return (before - after) > RELATIVE_SLACK * before
 
 
 def violations_from(
@@ -230,15 +275,15 @@ def check_monotonicity(
     if not pert.increments:
         raise ValidationError("perturbation has no increments")
     check_increments(ds, pert.increments)
-    levels = _Levels(ds, method)
+    audit = _Audit(ds, method)
     rows = [ds.row(obs_id) for obs_id in pert.increments]
     increments = [float(inc) for inc in pert.increments.values()]
     with np.errstate(over="ignore"):
-        after = levels.after(np.array(rows), np.array([increments]))[0]
+        after = audit.after(np.array(rows), np.array([increments]))[0]
     raised = {q for q, inc in zip(ds.period_codes[rows].tolist(), increments) if inc > 0}
-    base, fell = levels.before.base_period, levels.fell(after).tolist()
+    base, fell = audit.before.base_period, _fell(audit.level_before, after).tolist()
     comparisons = tuple(
-        LevelComparison(period, levels.before.levels[period], level, q not in raised or not f)
+        LevelComparison(period, audit.before.levels[period], level, q not in raised or not f)
         for q, (period, level, f) in enumerate(zip(ds.periods, after.tolist(), fell))
         if period != base
     )
@@ -266,10 +311,9 @@ def search_violations(
         if not (is_finite_real(m) and m > 1):
             raise ModelError(f"multipliers must be finite and > 1, got {m!r}")
 
-    levels = _Levels(ds, method)
-    targets = levels.targets
-    own = ds.period_codes[targets]
-    before = levels._level_before[own, None]
+    audit = _Audit(ds, method)
+    targets, own = audit.targets, audit.own
+    before = audit.level_before[own, None]
 
     texts = [f"{m:g}" for m in grid]  # each multiplier spelled once
 
@@ -280,10 +324,10 @@ def search_violations(
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
         raised = ds.price[targets, None] + increments
         _check_raised(ds, targets[:, None], increments, raised, lambda t, g: describe(targets[t], g))
-        # x is exactly zero at every other sale, so the W @ x of _Levels.after is W[own, i] * x_i
-        x = np.log(raised) - levels._log_prices[targets, None]
-        after = before * np.exp(levels._weights[own, targets][:, None] * x)
-    dropped = (before - after) > RELATIVE_SLACK * before
+        # x is exactly zero at every other sale, so the W @ x of _Audit.after is W[own, i] * x_i
+        x = np.log(raised) - audit.target_log_prices[:, None]
+        after = before * np.exp(audit.weights[own, targets][:, None] * x)
+    dropped = _fell(before, after)
     t, g = np.nonzero(dropped)
     rows = targets[t].tolist()
     violations = _Violations(
@@ -293,55 +337,11 @@ def search_violations(
         after[dropped].tolist(),
         [{ds.ids[row]: inc} for row, inc in zip(rows, increments[dropped].tolist())],
     )
-    return MonotonicityReport(method=levels.before.method, trials=increments.size, violations=violations)
-
-
-def _rounding_margin(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per period, how far the random audit's score of a trial can sit from :meth:`_Levels.after`'s sum."""
-    # n sales in all; log_prices and the rows of weights (weights[j, q] = W[q, j])
-    # are the audited ones.
-    # s = W[q] @ x with x = a - b, a = log(p + inc), b = log p. The exact judge
-    # sums s over all n sales in one matvec (unraised sales add exactly 0:
-    # both logs read one value); the score sums it in another order, and its
-    # logs may differ from the judge's by an ulp, eps * (|a| + |b|) a sale. Each side
-    # rounds x by eps/2 * |x|, and a dot product of n terms in any order by
-    # n * eps/2 * sum |W| |x| (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2002, section 3.1): the two values of s differ by at most
-    # (n + 2) * eps * sum |W| (|a| + |b|). Every increment is a draw in [0, 1)
-    # times its sale's price, so a - b lies in [0, log 2] up to rounding and
-    # |a| + |b| < 2 |b| + 1: the bound below holds for every trial of the
-    # audit, with room for its own rounding.
-    return 4 * n * np.finfo(np.float64).eps * ((2 * np.abs(log_prices) + 1) @ np.abs(weights))
-
-
-def _fall_bound(n: int, log_prices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per period, how far any random trial can take :meth:`_Levels.after`'s sum below zero."""
-    # n sales in all; log_prices and the rows of weights (weights[j, q] = W[q, j])
-    # are the audited ones.
-    # The judge sums s = W[q] @ x over all n sales in one matvec, with
-    # x = a - b, a = log(p + inc), b = log p; unraised sales add exactly 0.
-    # Every increment is below its sale's price, so p + inc rounds to at most
-    # 2p and a - b lies in [0, log 2]. Each log is within an ulp, eps |a| or
-    # eps |b|, and |a| + |b| <= 2 |b| + log 2; with the subtraction's own
-    # rounding, the computed x_j lies in [-d_j, log 2 + d_j] with
-    # d_j = eps * (2 |b_j| + 2).
-    # A dot product of n terms in any order is sum W_j x_j (1 + t_j) with
-    # |t_j| <= gamma_n = n u / (1 - n u), u = eps / 2 (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2002, section 3.1). A term is below
-    # zero only where W_j >= 0 and x_j < 0, by at most W_j d_j, or where
-    # W_j < 0, by at most |W_j| (log 2 + d_j). So the computed s is at least
-    # -(1 + gamma_n) N with N = log 2 * sum_{W_j < 0} |W_j| + sum |W_j| d_j:
-    # the n-fold rounding error scales N, which is eps-sized when no weight
-    # is negative, not sum |W| |x| as in _rounding_margin. The factor
-    # 1 + 4 n eps covers gamma_n and the rounding of N's own sums below.
-    eps = np.finfo(np.float64).eps
-    negative = -np.minimum(weights, 0.0).sum(axis=0)
-    rounding = eps * ((2 * np.abs(log_prices) + 2) @ np.abs(weights))
-    return (1 + 4 * n * eps) * (math.log(2) * negative + rounding)
+    return MonotonicityReport(method=audit.before.method, trials=increments.size, violations=violations)
 
 
 def _random_violations(
-    levels: _Levels, trials: np.ndarray, block: np.ndarray, perturbed: np.ndarray
+    audit: _Audit, trials: np.ndarray, block: np.ndarray, perturbed: np.ndarray
 ) -> tuple[list, ...]:
     """The violation columns of random trials ``trials[k]``, raising the audited sales by ``block[k]``.
 
@@ -350,15 +350,15 @@ def _random_violations(
     order and then period order; the violations of one trial share its
     increments dict.
     """
-    ds, targets = levels._ds, levels.targets
-    after = levels.after(targets, block)
-    k, q = np.nonzero(perturbed & levels.fell(after))
+    ds, targets = audit.ds, audit.targets
+    after = audit.after(targets, block)
+    k, q = np.nonzero(perturbed & _fell(audit.level_before, after))
     ids = [ds.ids[i] for i in targets.tolist()]
     rows = k.tolist()
     increments = {j: dict(zip(ids, block[j].tolist())) for j in set(rows)}
     periods = [ds.periods[p] for p in q.tolist()]
     descriptions = [f"trial {trial}" for trial in trials[k].tolist()]
-    before = [levels.before.levels[period] for period in periods]
+    before = [audit.before.levels[period] for period in periods]
     return descriptions, periods, before, after[k, q].tolist(), [increments[j] for j in rows]
 
 
@@ -378,10 +378,8 @@ def random_perturbation_audit(
         raise ModelError(f"trials must be a positive integer, got {trials!r}")
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
-    levels = _Levels(ds, method)
-    targets = levels.targets
-    prices, log_prices = ds.price[targets], levels._log_prices[targets]
-    weights = levels._weights[:, targets].T
+    audit = _Audit(ds, method)
+    targets, prices, weights = audit.targets, ds.price[audit.targets], audit.target_weights
     # a level after is level_before * exp(s), which falls by at most
     # 1 - exp(-bound) <= bound: a bound of half the slack leaves the other half
     # for the rounding of exp, the product and the comparison. No price at
@@ -391,13 +389,13 @@ def random_perturbation_audit(
     if (
         prices.max() <= _PRICE_CAP
         and weights.min() >= -RELATIVE_SLACK
-        and (_fall_bound(len(ds), log_prices, weights) <= RELATIVE_SLACK / 2).all()
+        and (audit.fall_bound() <= RELATIVE_SLACK / 2).all()
     ):
-        return MonotonicityReport(method=levels.before.method, trials=int(trials), violations=_Violations())
+        return MonotonicityReport(method=audit.before.method, trials=int(trials), violations=_Violations())
     rng = np.random.default_rng(seed)
-    margin = _rounding_margin(len(ds), log_prices, weights)
+    margin = audit.rounding_margin()
     # float, not bool: a float matmul runs on BLAS and counts raised sales exactly
-    in_period = np.equal.outer(ds.period_codes[targets], np.arange(len(ds.periods))).astype(np.float64)
+    in_period = np.equal.outer(audit.own, np.arange(len(ds.periods))).astype(np.float64)
     step = max(1, _DRAW_BUDGET // (2 * len(targets)))
 
     violations = _Violations()
@@ -414,13 +412,13 @@ def random_perturbation_audit(
         perturbed = ((block > 0) @ in_period) > 0
         # where s > margin, the exact judge's s is positive, exp(s) >= 1 and no
         # level falls; a non-finite s or margin fails that test and its trial is judged
-        s = (np.log(raised) - log_prices) @ weights
+        s = (np.log(raised) - audit.target_log_prices) @ weights
         flagged = np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
         if flagged.size:
-            found = _random_violations(levels, start + flagged, block[flagged], perturbed[flagged])
+            found = _random_violations(audit, start + flagged, block[flagged], perturbed[flagged])
             for column, new in zip(violations.columns, found):
                 column += new
-    return MonotonicityReport(method=levels.before.method, trials=int(trials), violations=violations)
+    return MonotonicityReport(method=audit.before.method, trials=int(trials), violations=violations)
 
 
 def melser_diagnostic(

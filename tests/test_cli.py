@@ -457,7 +457,7 @@ class TestDeterminism:
     def test_random_audit_bytes_do_not_depend_on_the_draw_budget(self, capsys, renoir):
         # a budget of 2 * 64 * (non-base sales) draws 64 trials a block;
         # the default draws every trial here in one block
-        targets = monotonicity._Levels(renoir, npgm_method("A")).targets
+        targets = monotonicity._Audit(renoir, npgm_method("A")).targets
         outputs = {}
         for budget in (monotonicity._DRAW_BUDGET, 2 * 64 * len(targets)):
             with pytest.MonkeyPatch.context() as patch:

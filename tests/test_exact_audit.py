@@ -126,7 +126,7 @@ STEP = 64
 @contextmanager
 def draw_step(ds, method, step):
     """Make the random audit of ``ds`` draw ``step`` trials a block."""
-    targets = monotonicity._Levels(ds, method).targets
+    targets = monotonicity._Audit(ds, method).targets
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monotonicity, "_DRAW_BUDGET", 2 * step * len(targets))
         yield
@@ -189,16 +189,16 @@ class TestParityWithRefit:
             )
 
 
-def exact_comparisons(levels, increments, perturbed):
+def exact_comparisons(audit, increments, perturbed):
     """Every non-base level after adding ``increments`` (dataset order) to the prices, as defined.
 
     A level after is ``level_before * exp(W @ (log(p + inc) - log p))``,
     one matvec over all sales. A period is compliant unless it is in
     ``perturbed`` and its level fell by more than the relative slack.
     """
-    ds, before = levels._ds, levels.before
-    log_change = np.log(ds.price + increments) - levels._log_prices
-    after = levels._level_before * np.exp(levels._weights @ log_change)
+    ds, before = audit.ds, audit.before
+    log_change = np.log(ds.price + increments) - audit.log_prices
+    after = audit.level_before * np.exp(audit.weights @ log_change)
     comparisons = []
     for period, level_after in zip(ds.periods, after.tolist()):
         if period == before.base_period:
@@ -213,27 +213,27 @@ def exact_comparisons(levels, increments, perturbed):
 
 def judge_every_grid_perturbation(ds, method, grid):
     """The grid audit with no screen: :func:`exact_comparisons` of every perturbation."""
-    levels = monotonicity._Levels(ds, method)
+    audit = monotonicity._Audit(ds, method)
     violations = []
     trials = 0
     for i, obs in enumerate(ds.observations):
-        if obs.period == levels.before.base_period:
+        if obs.period == audit.before.base_period:
             continue
         for m in grid:
             trials += 1
             increments = np.zeros(len(ds))
             increments[i] = obs.price * (m - 1.0)
             pert = Perturbation({obs.id: increments[i].item()})
-            comparisons = exact_comparisons(levels, increments, {obs.period})
+            comparisons = exact_comparisons(audit, increments, {obs.period})
             violations += eager_violations(f"obs {obs.id} price x{m:g}", comparisons, pert)
-    return MonotonicityReport(levels.before.method, trials, tuple(violations))
+    return MonotonicityReport(audit.before.method, trials, tuple(violations))
 
 
 def judge_every_random_perturbation(ds, method, trials, seed):
     """The random audit with no screen, drawing coins then magnitudes trial by trial."""
     rng = np.random.default_rng(seed)
-    levels = monotonicity._Levels(ds, method)
-    targets = [o for o in ds.observations if o.period != levels.before.base_period]
+    audit = monotonicity._Audit(ds, method)
+    targets = [o for o in ds.observations if o.period != audit.before.base_period]
     prices = np.array([o.price for o in targets])
     violations = []
     for trial in range(trials):
@@ -243,9 +243,9 @@ def judge_every_random_perturbation(ds, method, trials, seed):
         increments[[ds.row(o.id) for o in targets]] = raised
         pert = Perturbation({o.id: inc for o, inc in zip(targets, raised.tolist())})
         perturbed = {o.period for o, inc in zip(targets, raised) if inc > 0}
-        comparisons = exact_comparisons(levels, increments, perturbed)
+        comparisons = exact_comparisons(audit, increments, perturbed)
         violations += eager_violations(f"trial {trial}", comparisons, pert)
-    return MonotonicityReport(levels.before.method, trials, tuple(violations))
+    return MonotonicityReport(audit.before.method, trials, tuple(violations))
 
 
 def assert_identical_reports(got, want):
@@ -258,13 +258,13 @@ def assert_identical_reports(got, want):
 def count_judged(monkeypatch):
     """The number of trials in each block that the exact judge receives."""
     calls = []
-    after = monotonicity._Levels.after
+    after = monotonicity._Audit.after
 
     def counting_after(self, rows, block):
         calls.append(len(block))
         return after(self, rows, block)
 
-    monkeypatch.setattr(monotonicity._Levels, "after", counting_after)
+    monkeypatch.setattr(monotonicity._Audit, "after", counting_after)
     return calls
 
 
@@ -285,9 +285,7 @@ def recorded_blocks():
 
 def fall_bound(ds, method):
     """The random audit's bound, per period, on how far a trial can take the judge's sum below 0."""
-    levels = monotonicity._Levels(ds, method)
-    targets = levels.targets
-    return monotonicity._fall_bound(len(ds), levels._log_prices[targets], levels._weights[:, targets].T)
+    return monotonicity._Audit(ds, method).fall_bound()
 
 
 def proves_compliance(ds, method):
@@ -473,13 +471,13 @@ class TestFallBound:
     def test_bound_holds_the_box_witness(self, renoir):
         # raising exactly B's negative-weight sales to just under double their
         # price takes level B's sum to its bound, and no further
-        levels = monotonicity._Levels(renoir, hpm_method(EXAMPLE_SPEC))
-        bound = fall_bound(renoir, hpm_method(EXAMPLE_SPEC))
-        targets = levels.targets
-        negative = levels._weights[1, targets] < 0
+        audit = monotonicity._Audit(renoir, hpm_method(EXAMPLE_SPEC))
+        bound = audit.fall_bound()
+        targets = audit.targets
+        negative = audit.target_weights[:, 1] < 0
         block = np.where(negative, renoir.price[targets] * (1 - 1e-9), 0.0)
-        after = levels.after(targets, block[None])[0, 1]
-        s = math.log(after / levels._level_before[1])
+        after = audit.after(targets, block[None])[0, 1]
+        s = math.log(after / audit.level_before[1])
         assert -bound[1] <= s < -bound[1] * (1 - 1e-8)
 
     @pytest.mark.parametrize("step", [0, 1])
@@ -505,21 +503,19 @@ def assert_margin_bounds_the_scores(ds, spec, blocks=3):
     """
     differ = False
     for method in methods(ds, spec):
-        levels = monotonicity._Levels(ds, method)
-        targets = levels.targets
-        prices, log_prices = ds.price[targets], levels._log_prices[targets]
-        weights = levels._weights[:, targets].T
-        margin = monotonicity._rounding_margin(len(ds), log_prices, weights)
+        audit = monotonicity._Audit(ds, method)
+        targets = audit.targets
+        prices, margin = ds.price[targets], audit.rounding_margin()
         rng = np.random.default_rng(7)
         for _ in range(blocks):
             draws = rng.random((STEP, 2, len(targets)))
             block = draws[:, 1] * prices
             block *= draws[:, 0] >= 0.5
-            score = (np.log(prices + block) - log_prices) @ weights
+            score = (np.log(prices + block) - audit.target_log_prices) @ audit.target_weights
             for k in range(STEP):
                 increments = np.zeros(len(ds))
                 increments[targets] = block[k]
-                summed = levels._weights @ (np.log(ds.price + increments) - levels._log_prices)
+                summed = audit.weights @ (np.log(ds.price + increments) - audit.log_prices)
                 gap = np.abs(score[k] - summed)
                 assert (gap <= margin).all()
                 differ |= bool(gap.any())
@@ -533,22 +529,21 @@ def assert_judge_is_exact(ds, method, trials=8):
     levels fall whenever such a sale exists, however rare a random
     violation is; odd trials raise every audited sale.
     """
-    levels = monotonicity._Levels(ds, method)
-    targets = levels.targets
-    own = ds.period_codes[targets]
-    negative = levels._weights[own, targets] < 0
+    audit = monotonicity._Audit(ds, method)
+    targets, own = audit.targets, audit.own
+    negative = audit.weights[own, targets] < 0
     rng = np.random.default_rng(5)
     block = rng.random((trials, len(targets))) * ds.price[targets]
     block[::2] *= negative
-    after = levels.after(targets, block)
-    fell = levels.fell(after)
-    periods = [q for q, p in enumerate(ds.periods) if p != levels.before.base_period]
+    after = audit.after(targets, block)
+    fell = monotonicity._fell(audit.level_before, after)
+    periods = [q for q, p in enumerate(ds.periods) if p != audit.before.base_period]
     dropped = False
     for k in range(trials):
         increments = np.zeros(len(ds))
         increments[targets] = block[k]
         raised = set(own[block[k] > 0].tolist())
-        want = exact_comparisons(levels, increments, {ds.periods[q] for q in raised})
+        want = exact_comparisons(audit, increments, {ds.periods[q] for q in raised})
         assert [(after[k, q].hex(), q not in raised or not fell[k, q]) for q in periods] == [
             (c.level_after.hex(), c.compliant) for c in want
         ]
@@ -652,7 +647,34 @@ def count_qr(monkeypatch):
     return calls
 
 
+def counting_method(method):
+    """``method`` as an :class:`IndexMethod` that records each ``evaluate`` call, and the record."""
+    calls = []
+
+    def evaluate(ds):
+        calls.append(ds)
+        return method.evaluate(ds)
+
+    return IndexMethod(evaluate), calls
+
+
 class TestCost:
+    @pytest.mark.parametrize("name", ["npgm", "hpm"])
+    def test_each_audit_evaluates_its_method_once(self, renoir, name):
+        method, calls = counting_method(npgm_method("A") if name == "npgm" else hpm_method(EXAMPLE_SPEC))
+        audits = (
+            lambda: check_monotonicity(renoir, method, Perturbation({"29": 1.0})),
+            lambda: search_violations(renoir, method),
+            lambda: random_perturbation_audit(renoir, method, 5, 7),
+            lambda: random_perturbation_audit(renoir, method, 500, 7),
+        )
+        counts = []
+        for audit in audits:
+            calls.clear()
+            audit()
+            counts.append(len(calls))
+        assert counts == [1, 1, 1, 1]
+
     def test_hpm_audit_factorizations_do_not_grow_with_trials(self, renoir, monkeypatch):
         calls = count_qr(monkeypatch)
         method = hpm_method(EXAMPLE_SPEC)
@@ -762,6 +784,7 @@ class TestLazyViolations:
             for got, want in audits:
                 assert isinstance(want.violations, tuple)
                 assert_equal_both_ways(got.violations, want.violations)
+                assert repr(got.violations) == repr(want.violations)
                 assert_equal_both_ways(got, want)
                 assert report_json(got) == report_json(want)
                 # the columns write what json.dumps writes for one dict per violation
