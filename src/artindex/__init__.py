@@ -20,10 +20,7 @@ __version__ = "0.1.0"
 # defining module -> the names it exports
 _EXPORTS = {
     "csvio": ("InputSchema", "bundled_data_path", "load_bundled_dataset", "load_csv"),
-    "domain": (
-        "Dataset", "SaleObservation", "partition_by_period", "validate_dataset",
-        "with_period_relabeled", "with_price_increments", "with_price_scaled",
-    ),
+    "domain": ("Dataset", "SaleObservation", "partition_by_period", "validate_dataset"),
     "errors": ("ArtindexError", "ModelError", "RankDeficientError", "ValidationError"),
     "indexes": (
         "DecompositionReport", "IndexMethod", "IndexSeries", "decompose_index",
@@ -39,7 +36,7 @@ _EXPORTS = {
         "DesignSystem", "ModelSpec", "RegressionResult", "build_design", "characteristic_column",
         "fit", "solve_least_squares", "student_t_two_sided_p",
     ),
-    "replication": ("run_replication", "write_replication_outputs"),
+    "replication": ("write_replication_outputs",),
     "report": ("Report",),
 }
 

@@ -44,7 +44,7 @@ from .indexes import (
     DEFAULT_BASE_VALUE, HPM, NPGM, _require_base, hpm_index_from_result, hpm_method, npgm_index, npgm_method,
 )
 from .report import (
-    Report, _Records, index_series_dict, monotonicity_report_dict, regression_result_dict,
+    Report, index_series_dict, monotonicity_report_dict, regression_result_dict,
     render_index_plot_data, render_index_table, render_monotonicity_table, render_regression_table,
 )
 
@@ -236,12 +236,8 @@ def _cmd_reproduce(args) -> int:
     from .replication import write_replication_outputs
 
     summary = write_replication_outputs(args.outdir)
-    checks = summary.checks
     body = {
-        "checks": _Records(
-            ("name", "passed", "detail"),
-            ([c.name for c in checks], [c.passed for c in checks], [c.detail for c in checks]),
-        ),
+        "checks": summary.checks,
         "passed": summary.passed,
         "output_dir": str(args.outdir),
     }

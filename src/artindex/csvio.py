@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass
-from importlib import resources
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -18,6 +16,8 @@ from .domain import Dataset, _from_columns
 from .errors import ValidationError
 
 BUNDLED_DATA_NAME = "renoir_1989_1990.csv"
+# built once: a command on the bundled data would otherwise pay for a new Path each run
+_BUNDLED_DATA_PATH = Path(__file__).with_name("data") / BUNDLED_DATA_NAME
 
 # every character str.strip() removes (those str.isspace() accepts), and the comma
 _BLANK = (
@@ -74,10 +74,9 @@ class InputSchema:
             )
 
 
-@functools.cache
 def bundled_data_path() -> Path:
-    """Filesystem path of the packaged Renoir 1989-1990 dataset, looked up once."""
-    return Path(str(resources.files("artindex").joinpath("data", BUNDLED_DATA_NAME)))
+    """Filesystem path of the packaged Renoir 1989-1990 dataset."""
+    return _BUNDLED_DATA_PATH
 
 
 def load_bundled_dataset() -> Dataset:

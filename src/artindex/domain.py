@@ -1,4 +1,4 @@
-"""Sale-record data model: a columnar dataset, its validation, price perturbations.
+"""Sale-record data model: a columnar dataset, its validation, the increment check.
 
 A :class:`Dataset` holds its sales as columns (ids, period codes, and
 float64 price, area, aspect ratio and extra characteristics), which
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -238,32 +238,3 @@ def check_increments(ds: Dataset, increments: Mapping[str, float]) -> None:
     if errors:
         raise ValidationError(errors)
 
-
-def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Dataset:
-    """Return a copy of ``ds`` with ``increments[id]`` added to each price.
-
-    Increments must be non-negative, finite, and refer to existing ids;
-    characteristics are never touched.
-    """
-    check_increments(ds, increments)
-    price = ds.price.copy()
-    rows = [ds.row(obs_id) for obs_id in increments]
-    price[rows] += np.array([float(inc) for inc in increments.values()])
-    return replace(ds, price=price)
-
-
-def with_price_scaled(ds: Dataset, obs_id: str, factor: float) -> Dataset:
-    """Return a copy of ``ds`` with one observation's price multiplied by ``factor`` >= 1."""
-    if not (is_finite_real(factor) and factor >= 1):
-        raise ValidationError(f"price multiplier must be finite and at least 1, got {factor!r}")
-    price = float(ds.price[ds.row(obs_id)])
-    return with_price_increments(ds, {obs_id: price * (float(factor) - 1.0)})
-
-
-def with_period_relabeled(ds: Dataset, old: str, new: str) -> Dataset:
-    """Return a copy of ``ds`` with every ``old`` period label renamed to ``new``."""
-    if old not in ds.periods:
-        raise ValidationError(f"period {old!r} not present in dataset")
-    if new in ds.periods and new != old:
-        raise ValidationError(f"period {new!r} already present in dataset")
-    return replace(ds, periods=tuple(new if p == old else p for p in ds.periods))

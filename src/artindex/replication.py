@@ -2,26 +2,31 @@
 
 Recomputes every published artifact of the bundled example — the
 unitary-price column, the two hedonic fits (A against B, and A against
-C where C is B with observation 29's price raised by half), both index
-series, the decomposition identity, the constrained-model equivalence,
-the monotonicity sweeps, and the area/period association — and checks
-each against the reference values stored here, at the shipped
-tolerances. The two fits are the only ones it runs: the hpm levels, the
-fit tables and both sides of the decomposition identity are read off
-them. One known borderline cell exists: the A/C aspect-ratio
-p-value computed from this dataset differs from its reference by
-0.00052, just over the 0.0005 band, because the stored ratios are
-rounded to three decimals. The harness reports it honestly as a FAIL.
+C where C is B with observation 29's price raised by half, built by
+:func:`perturbed_dataset`), both index series, the decomposition
+identity, the constrained-model equivalence, the monotonicity sweeps,
+and the area/period association — and checks each against the reference
+values stored here, at the shipped tolerances. The checks are one record
+list (name, passed, detail), built as the harness runs.
+:func:`write_replication_outputs` is the one entry point: it runs the
+harness once and writes what that run computed. The two fits are the
+only ones it runs: the hpm levels, the fit tables and both sides of the
+decomposition identity are read off them. One known borderline cell
+exists: the A/C aspect-ratio p-value computed from this dataset differs
+from its reference by 0.00052, just over the 0.0005 band, because the
+stored ratios are rounded to three decimals. The harness reports it
+honestly as a FAIL.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .csvio import load_bundled_dataset
-from .domain import Dataset, with_period_relabeled, with_price_scaled
+from .domain import Dataset
 from .errors import ArtindexError
 from .indexes import (
     hpm_index_from_result,
@@ -39,7 +44,7 @@ from .monotonicity import (
     search_violations,
 )
 from .regression import ModelSpec, RegressionResult, fit
-from .report import render_index_plot_data
+from .report import _Records, render_index_plot_data
 
 EXAMPLE_SPEC = ModelSpec(reference_period="A", regressors=("area", "aspect_ratio"))
 
@@ -86,42 +91,41 @@ MELSER_P_MAX = 0.05
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
-
-
-@dataclass(frozen=True)
 class ReplicationSummary:
-    checks: tuple[CheckResult, ...]
+    """The checks, one record each: ``name``, ``passed`` and ``detail`` columns."""
+
+    checks: _Records
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.checks.columns[1])
 
     def lines(self) -> list[str]:
-        lines = [c.line() for c in self.checks]
-        n_pass = sum(c.passed for c in self.checks)
-        lines.append(f"overall: {n_pass}/{len(self.checks)} checks passed")
+        names, passed, details = self.checks.columns
+        lines = [
+            f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+            for name, ok, detail in zip(names, passed, details)
+        ]
+        lines.append(f"overall: {sum(passed)}/{len(names)} checks passed")
         return lines
 
 
 def perturbed_dataset(ds: Dataset) -> Dataset:
-    """Dataset A|C: B with observation 29's price scaled, relabeled C."""
-    scaled = with_price_scaled(ds, PERTURBED_OBSERVATION, PERTURBED_MULTIPLIER)
-    return with_period_relabeled(scaled, "B", "C")
+    """Dataset A|C: B with observation 29's price raised by half, relabeled C."""
+    price = ds.price.copy()
+    row = ds.row(PERTURBED_OBSERVATION)
+    # raised by an increment, as the audits raise a price
+    price[row] += price[row] * (PERTURBED_MULTIPLIER - 1.0)
+    return replace(ds, price=price, periods=tuple("C" if p == "B" else p for p in ds.periods))
 
 
 def _check_fit(
+    check: Callable[[str, bool, str], None],
     label: str,
     result: RegressionResult,
     reference: dict,
     dummy_column: str,
-) -> list[CheckResult]:
+) -> None:
     # reference tuples hold coefficient, std error, t stat and p-value;
     # every gap is absolute except the standard errors' relative one
     stats = (
@@ -130,7 +134,6 @@ def _check_fit(
         ("t_statistics", result.t_statistics, T_STAT_ABS_TOL),
         ("p_values", result.p_values, P_VALUE_ABS_TOL),
     )
-    checks = []
     for idx, (stat_name, values, tol) in enumerate(stats):
         bad = []
         for term, refs in reference.items():
@@ -143,16 +146,9 @@ def _check_fit(
                     f"{term} {got:.6g} vs reference {ref:.6g} (gap {gap:.3g} > {term_tol:.3g})"
                 )
         detail = "; ".join(bad) or "all terms within tolerance"
-        checks.append(CheckResult(f"{label}_{stat_name}", not bad, detail))
+        check(f"{label}_{stat_name}", not bad, detail)
     detail = f"R^2 = {result.r_squared:.4f} (required > {R_SQUARED_MIN})"
-    checks.append(CheckResult(f"{label}_r_squared", result.r_squared > R_SQUARED_MIN, detail))
-    return checks
-
-
-def run_replication(dataset: Dataset | None = None) -> ReplicationSummary:
-    """Recompute the bundled example and check it against reference values."""
-    summary, _, _ = _replicate(dataset if dataset is not None else load_bundled_dataset())
-    return summary
+    check(f"{label}_r_squared", result.r_squared > R_SQUARED_MIN, detail)
 
 
 def _replicate(
@@ -160,10 +156,12 @@ def _replicate(
 ) -> tuple[ReplicationSummary, dict[str, RegressionResult], dict[str, dict[str, float]]]:
     """The checks, plus the fits and levels the output files hold, keyed by file name."""
     ds_ac = perturbed_dataset(ds_ab)
-    checks: list[CheckResult] = []
+    names, passes, details = columns = [], [], []
 
     def check(name: str, passed: bool, detail: str) -> None:
-        checks.append(CheckResult(name, passed, detail))
+        names.append(name)
+        passes.append(passed)
+        details.append(detail)
 
     # unitary prices against the printed column
     worst_gap = 0.0
@@ -181,8 +179,8 @@ def _replicate(
     # the two hedonic fits
     result_ab = fit(ds_ab, EXAMPLE_SPEC)
     result_ac = fit(ds_ac, EXAMPLE_SPEC)
-    checks.extend(_check_fit("fit_ab", result_ab, REFERENCE_FIT_AB, "dummy_B"))
-    checks.extend(_check_fit("fit_ac", result_ac, REFERENCE_FIT_AC, "dummy_C"))
+    _check_fit(check, "fit_ab", result_ab, REFERENCE_FIT_AB, "dummy_B")
+    _check_fit(check, "fit_ac", result_ac, REFERENCE_FIT_AC, "dummy_C")
 
     # index levels and orderings
     npgm_ab = npgm_index(ds_ab, "A")
@@ -278,7 +276,7 @@ def _replicate(
         "index_levels_npgm.csv": {"A": 100.0, "B": i_ba_npgm, "C": i_ca_npgm},
         "index_levels_hpm.csv": {"A": 100.0, "B": i_ba_hpm, "C": i_ca_hpm},
     }
-    return ReplicationSummary(checks=tuple(checks)), fits, levels
+    return ReplicationSummary(_Records(("name", "passed", "detail"), columns)), fits, levels
 
 
 def write_replication_outputs(outdir: str | Path) -> ReplicationSummary:

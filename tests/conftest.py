@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from artindex import load_bundled_dataset, with_period_relabeled, with_price_scaled
+from artindex import load_bundled_dataset
 from artindex.replication import EXAMPLE_SPEC  # noqa: F401  (re-exported for the test modules)
+from artindex.replication import perturbed_dataset
 
 # printed cells of the bundled Renoir dataset:
 # (id, period, price_usd, area_cm2, hw_ratio, unit_price_usd_per_cm2)
@@ -64,4 +65,4 @@ def renoir():
 @pytest.fixture(scope="session")
 def renoir_ac(renoir):
     """Dataset A|C: B with observation 29's price raised by half, relabeled C."""
-    return with_period_relabeled(with_price_scaled(renoir, "29", 1.5), "B", "C")
+    return perturbed_dataset(renoir)

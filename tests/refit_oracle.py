@@ -8,7 +8,8 @@ trial at a time. Tests compare the library's audits with these.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,11 +20,20 @@ from artindex import (
     MonotonicityReport,
     Perturbation,
     Violation,
-    with_price_increments,
 )
+from artindex.domain import check_increments
 from artindex.monotonicity import RELATIVE_SLACK
 
 IndexFunction = Callable[[Dataset], IndexSeries]
+
+
+def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Dataset:
+    """A copy of ``ds`` with ``increments[id]`` added to each price, checked as the audits check it."""
+    check_increments(ds, increments)
+    price = ds.price.copy()
+    rows = [ds.row(obs_id) for obs_id in increments]
+    price[rows] += np.array([float(inc) for inc in increments.values()])
+    return replace(ds, price=price)
 
 
 def _compare(before: IndexSeries, after: IndexSeries, perturbed: set[str]) -> list[LevelComparison]:

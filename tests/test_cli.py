@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ import pytest
 import artindex
 from artindex import cli, monotonicity, npgm_method
 from artindex.cli import main
-from artindex.replication import run_replication, write_replication_outputs
+from artindex.replication import _replicate, perturbed_dataset, write_replication_outputs
 from artindex.report import Report
-from artindex import SaleObservation, fit, with_price_scaled
+from artindex import SaleObservation, fit
 
 from conftest import EXAMPLE_SPEC, generated_csv
 
@@ -870,7 +871,7 @@ class TestReproduceCommand:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        run_replication()
+        _replicate(artindex.load_bundled_dataset())
         harness = len(calls)
         calls.clear()
         write_replication_outputs(tmp_path)
@@ -887,7 +888,7 @@ class TestReproduceCommand:
 
         monkeypatch.setattr(regression, "fit", counting_fit)
         monkeypatch.setattr(replication, "fit", counting_fit)
-        run_replication()
+        _replicate(artindex.load_bundled_dataset())
         assert fitted == [("A", "B"), ("A", "C")]
 
     def test_index_plot_files_have_three_periods(self, tmp_path):
@@ -923,13 +924,14 @@ class TestReproduceCommand:
         assert lines[1].startswith("A,") and lines[-1].startswith("B,")
 
     def test_edited_price_fails_fit_ab_check(self, renoir):
-        edited = with_price_scaled(renoir, "29", 1.5)
-        summary = run_replication(edited)
-        by_name = {c.name: c for c in summary.checks}
-        assert not by_name["fit_ab_coefficients"].passed
-        assert "dummy" in by_name["fit_ab_coefficients"].detail
-        assert not by_name["unit_prices"].passed
-        assert "obs 29" in by_name["unit_prices"].detail
+        # the A|C prices under the A|B labels
+        edited = replace(renoir, price=perturbed_dataset(renoir).price)
+        names, passed, details = _replicate(edited)[0].checks.columns
+        by_name = dict(zip(names, zip(passed, details)))
+        assert not by_name["fit_ab_coefficients"][0]
+        assert "dummy" in by_name["fit_ab_coefficients"][1]
+        assert not by_name["unit_prices"][0]
+        assert "obs 29" in by_name["unit_prices"][1]
 
     @pytest.mark.parametrize("outdir", ["taken", "taken/sub"])
     def test_unwritable_outdir_is_data_error(self, capsys, tmp_path, outdir):

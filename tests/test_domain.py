@@ -13,10 +13,9 @@ from artindex import (
     ValidationError,
     partition_by_period,
     validate_dataset,
-    with_period_relabeled,
-    with_price_increments,
-    with_price_scaled,
 )
+from artindex.domain import check_increments
+from artindex.replication import perturbed_dataset
 
 from conftest import TABLE1
 
@@ -141,6 +140,11 @@ class TestValidateDataset:
         again = validate_dataset(renoir.observations)
         assert again == renoir
 
+    def test_equality_with_another_type_is_left_to_it(self, renoir):
+        assert renoir.__eq__(object()) is NotImplemented
+        assert (renoir == object()) is False
+        assert (renoir != 1) is True
+
     def test_periods_in_first_appearance_order(self):
         ds = validate_dataset([obs(id="1", period="Z"), obs(id="2", period="A")])
         assert ds.periods == ("Z", "A")
@@ -197,27 +201,18 @@ class TestPartition:
 
 class TestTransforms:
     def test_price_scaling(self, renoir):
-        scaled = with_price_scaled(renoir, "29", 1.5)
+        scaled = perturbed_dataset(renoir)
         assert scaled.by_id("29").price == pytest.approx(146841502.0 * 1.5)
         assert scaled.by_id("28").price == renoir.by_id("28").price
         assert scaled.by_id("29").area == renoir.by_id("29").area
 
-    def test_price_scaling_refuses_a_multiplier_below_one(self, renoir):
-        with pytest.raises(ValidationError) as excinfo:
-            with_price_scaled(renoir, "29", 0.5)
-        assert str(excinfo.value) == "price multiplier must be finite and at least 1, got 0.5"
-
-    def test_price_scaling_takes_a_numpy_multiplier(self, renoir):
-        scaled = with_price_scaled(renoir, "29", np.int64(2))
-        assert scaled.by_id("29").price == with_price_scaled(renoir, "29", 2.0).by_id("29").price
-
     def test_increment_unknown_id(self, renoir):
         with pytest.raises(ValidationError, match="unknown observation id 'nope'"):
-            with_price_increments(renoir, {"nope": 1.0})
+            check_increments(renoir, {"nope": 1.0})
 
     def test_negative_increment_rejected(self, renoir):
         with pytest.raises(ValidationError, match="non-negative"):
-            with_price_increments(renoir, {"1": -0.5})
+            check_increments(renoir, {"1": -0.5})
 
     def test_by_id_reads_the_row_of_that_id(self, renoir):
         for i, record in enumerate(renoir.observations):
@@ -227,14 +222,6 @@ class TestTransforms:
             renoir.by_id("nope")
 
     def test_relabel(self, renoir):
-        relabeled = with_period_relabeled(renoir, "B", "C")
+        relabeled = perturbed_dataset(renoir)
         assert relabeled.periods == ("A", "C")
         assert relabeled.by_id("29").period == "C"
-
-    def test_relabel_collision(self, renoir):
-        with pytest.raises(ValidationError, match="already present"):
-            with_period_relabeled(renoir, "B", "A")
-
-    def test_relabel_absent_period(self, renoir):
-        with pytest.raises(ValidationError, match="period 'Q' not present in dataset"):
-            with_period_relabeled(renoir, "Q", "C")

@@ -21,13 +21,13 @@ from artindex import (
     npgm_index,
     pinned_log_area_spec,
     validate_dataset,
-    with_price_increments,
 )
 from artindex import kernels, regression
 from artindex.indexes import _decomposition, _geometric_mean
 from artindex.regression import fit
 
 from conftest import EXAMPLE_SPEC, TABLE1, generated_csv
+from refit_oracle import with_price_increments
 
 # frozen from the high-precision exp-mean-log oracle over the printed
 # unit-price column (40-digit arithmetic; C scales obs 29 by 1.5)

@@ -1,4 +1,4 @@
-"""The package's public names resolve lazily to their defining modules' objects."""
+"""The package's public names: exactly the pinned set, each resolved lazily to its defining module's object."""
 
 from __future__ import annotations
 
@@ -7,6 +7,24 @@ import importlib
 import pytest
 
 import artindex
+
+# every public name; exporting or dropping one is an edit here
+PUBLIC_NAMES = {
+    "ArtindexError", "DEFAULT_MULTIPLIER_GRID", "Dataset", "DecompositionReport", "DesignSystem",
+    "IndexMethod", "IndexSeries", "InputSchema", "LevelComparison", "ModelError", "ModelSpec",
+    "MonotonicityReport", "Perturbation", "RankDeficientError", "RegressionResult", "Report",
+    "SaleObservation", "ValidationError", "Violation", "build_design", "bundled_data_path",
+    "characteristic_column", "check_monotonicity", "decompose_index", "fit",
+    "hpm_index_from_result", "hpm_method", "hpm_timedummy_index", "load_bundled_dataset",
+    "load_csv", "melser_diagnostic", "melser_significance", "npgm_index", "npgm_method",
+    "partition_by_period", "pinned_log_area_spec", "random_perturbation_audit",
+    "search_violations", "solve_least_squares", "student_t_two_sided_p", "validate_dataset",
+    "write_replication_outputs",
+}
+
+
+def test_all_is_the_public_surface():
+    assert set(artindex.__all__) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("name", artindex.__all__)

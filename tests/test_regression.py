@@ -157,6 +157,12 @@ class TestSolve:
         with pytest.raises(ModelError, match="underdetermined"):
             solve_least_squares(sys)
 
+    def test_no_columns(self):
+        sys = DesignSystem(np.ones((4, 0)), np.ones(4), ())
+        with pytest.raises(ModelError) as excinfo:
+            solve_least_squares(sys)
+        assert str(excinfo.value) == "design matrix has no columns"
+
 
 def generated_dataset(seed):
     """15 sales over periods P0-P2: random prices, areas and extra characteristics z1, z2."""
