@@ -28,7 +28,6 @@ that call them, so ``index --method npgm`` starts without them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -224,7 +223,7 @@ def _cmd_monotonicity(args) -> int:
     else:
         mono = random_perturbation_audit(ds, method, args.trials, args.seed)
     if melser is not None:
-        mono = dataclasses.replace(mono, melser_statistic=melser)
+        mono = mono.replace(melser_statistic=melser)
 
     body = monotonicity_report_dict(mono, comparisons)
     report = Report(command="monotonicity", config=config, body=body)

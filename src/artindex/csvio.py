@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -12,6 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import record
 from .domain import Dataset, _from_columns
 from .errors import ValidationError
 
@@ -31,7 +31,7 @@ _BLANK = (
 _Table = tuple[list[str] | None, dict[int, int], Callable[[int], list[str]]]
 
 
-@dataclass(frozen=True)
+@record
 class InputSchema:
     """Column mapping and parsing configuration for sale-record CSV files.
 

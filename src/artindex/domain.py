@@ -5,23 +5,26 @@ float64 price, area, aspect ratio and extra characteristics), which
 indexes, fits and audits read directly. :class:`SaleObservation` is the
 one-record view, built only on request. Every type here is immutable
 after construction (the arrays are read-only) and every function is
-pure, so all of them are safe to use concurrently without locking.
+pure, so all of them are safe to use concurrently without locking. Both
+are record types (:func:`artindex._record.record`): ``.replace(...)``
+returns a copy with the named fields changed, and assigning or deleting
+a field raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._record import factory, record
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@record
 class SaleObservation:
     """One auction record.
 
@@ -37,10 +40,10 @@ class SaleObservation:
     price: float
     area: float
     aspect_ratio: float
-    extra_characteristics: Mapping[str, float] = field(default_factory=dict)
+    extra_characteristics: Mapping[str, float] = factory(dict)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Dataset:
     """Validated, period-partitioned sale records, stored as columns.
 

@@ -29,11 +29,11 @@ The hpm series alone needs only the coefficients, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._record import record
 from .domain import Dataset, partition_by_period
 from .errors import ModelError
 
@@ -49,7 +49,7 @@ HPM = "hpm"
 DEFAULT_BASE_VALUE = 100.0
 
 
-@dataclass(frozen=True)
+@record
 class IndexSeries:
     """Per-period index levels anchored at ``levels[base_period] == base_value``."""
 
@@ -72,7 +72,7 @@ class IndexSeries:
             raise ModelError(f"period {period!r} not in index series") from None
 
 
-@dataclass(frozen=True)
+@record
 class IndexMethod:
     """An index method with its price weights.
 
@@ -95,7 +95,7 @@ class IndexMethod:
         return self.evaluate(ds)[1]
 
 
-@dataclass(frozen=True)
+@record
 class DecompositionReport:
     """Both sides of the time-dummy decomposition identity.
 
@@ -314,5 +314,5 @@ def decompose_index(
 
     # equal or missing periods are a model error, found before the fit
     two_period_rows(ds, period0, period1)
-    spec = replace(spec, reference_period=period0)
+    spec = spec.replace(reference_period=period0)
     return _decomposition(fit(ds, spec), ds, spec, period1)

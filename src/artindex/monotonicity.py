@@ -49,12 +49,12 @@ axiom's comparison meaningful level by level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Mapping
 
 import numpy as np
 
+from ._record import record
 from .domain import Dataset, check_increments, is_finite_real
 from .errors import ModelError, ValidationError
 from .indexes import IndexMethod, two_period_rows
@@ -77,14 +77,14 @@ _DRAW_BUDGET = 1 << 20
 _PRICE_CAP = np.finfo(np.float64).max / 2
 
 
-@dataclass(frozen=True)
+@record
 class Perturbation:
     """Non-negative dollar increments keyed by observation id."""
 
     increments: Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@record
 class LevelComparison:
     """One non-base period's level before and after a perturbation."""
 
@@ -94,7 +94,7 @@ class LevelComparison:
     compliant: bool
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A perturbed period whose level dropped beyond the noise slack."""
 
@@ -145,7 +145,7 @@ def _violation_columns(violations: Sequence[Violation]) -> _Violations:
     )))
 
 
-@dataclass(frozen=True)
+@record
 class MonotonicityReport:
     """Outcome of a violation search or random audit."""
 

@@ -26,11 +26,11 @@ the response; the hpm monotonicity weights come from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+from ._record import record
 from .domain import Dataset
 from .errors import ModelError, RankDeficientError
 
@@ -68,7 +68,7 @@ def characteristic_column(ds: Dataset, name: str) -> np.ndarray:
         ) from None
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """Hedonic time-dummy model specification.
 
@@ -85,7 +85,7 @@ class ModelSpec:
     pinned: tuple[tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DesignSystem:
     """Numeric least-squares problem: X, y, and column labels."""
 
@@ -98,7 +98,7 @@ class DesignSystem:
         return self.design_matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RegressionResult:
     """Coefficients with full inferential statistics."""
 

@@ -21,10 +21,10 @@ honestly as a FAIL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
+from ._record import record
 from .csvio import load_bundled_dataset
 from .domain import Dataset
 from .errors import ArtindexError
@@ -90,7 +90,7 @@ EQUIVALENCE_REL_TOL = 1e-8
 MELSER_P_MAX = 0.05
 
 
-@dataclass(frozen=True)
+@record
 class ReplicationSummary:
     """The checks, one record each: ``name``, ``passed`` and ``detail`` columns."""
 
@@ -116,7 +116,7 @@ def perturbed_dataset(ds: Dataset) -> Dataset:
     row = ds.row(PERTURBED_OBSERVATION)
     # raised by an increment, as the audits raise a price
     price[row] += price[row] * (PERTURBED_MULTIPLIER - 1.0)
-    return replace(ds, price=price, periods=tuple("C" if p == "B" else p for p in ds.periods))
+    return ds.replace(price=price, periods=tuple("C" if p == "B" else p for p in ds.periods))
 
 
 def _check_fit(

@@ -28,11 +28,12 @@ without the C encoder, is written by ``json.dumps`` itself, with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING, Mapping, Sequence
+
+from ._record import factory, record
 
 if TYPE_CHECKING:
     from .indexes import IndexSeries
@@ -40,14 +41,14 @@ if TYPE_CHECKING:
     from .regression import RegressionResult
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Command echo, configuration echo, command-specific body, warnings."""
 
     command: str
     config: dict
     body: dict
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = factory(list)
 
     def to_json(self) -> str:
         return _indented_json(
@@ -113,7 +114,7 @@ def _column(values) -> list[str]:
     return "".join(_scalar_items("\n")(values, 0))[1:-1].split("\n")
 
 
-@dataclass
+@record(frozen=False)
 class _Records:
     """A record list kept as columns: record ``i`` maps ``keys[j]`` to ``columns[j][i]``."""
 

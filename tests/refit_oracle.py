@@ -8,7 +8,6 @@ trial at a time. Tests compare the library's audits with these.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ def with_price_increments(ds: Dataset, increments: Mapping[str, float]) -> Datas
     price = ds.price.copy()
     rows = [ds.row(obs_id) for obs_id in increments]
     price[rows] += np.array([float(inc) for inc in increments.values()])
-    return replace(ds, price=price)
+    return ds.replace(price=price)
 
 
 def _compare(before: IndexSeries, after: IndexSeries, perturbed: set[str]) -> list[LevelComparison]:

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -783,43 +782,66 @@ class TestClosedStdout:
         ],
     )
     def test_exits_quietly(self, argv, code):
+        proc = self.start(argv)
+        # close the only read end before the command writes anything
+        proc.stdout.close()
+        assert self.finish(proc) == (code, b"")
+
+    def test_reader_leaving_mid_report_exits_quietly(self):
+        # the report (about 200 KB) overfills the pipe buffer, so the command is
+        # still writing it when the reader leaves after the first byte
+        proc = self.start(("monotonicity", "--method", "hpm", "--mode", "random", "--trials", "20000",
+                           "--seed", "7", "--format", "json"))
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        assert (first, *self.finish(proc)) == (b"{", 4, b"")
+
+    @staticmethod
+    def start(argv) -> subprocess.Popen:
         src = str(Path(artindex.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, "-m", "artindex.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env={**os.environ, "PYTHONPATH": src},
         )
-        # close the only read end before the command writes anything
-        proc.stdout.close()
+
+    @staticmethod
+    def finish(proc: subprocess.Popen) -> tuple[int, bytes]:
+        """The exit status and the standard error of ``proc``, whose stdout is closed."""
         err = proc.stderr.read()
         proc.stderr.close()
-        assert (proc.wait(), err) == (code, b"")
+        return proc.wait(), err
 
 
 class TestStartup:
-    """A command imports only the library modules it runs."""
+    """A command imports only the library modules it runs, and no ``dataclasses``."""
 
     PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tempfile
 
-def loaded():
-    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("artindex."))
+stages, dataclasses = {}, {}
+
+def stage(name):
+    stages[name] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("artindex."))
+    dataclasses[name] = "dataclasses" in sys.modules
 
 import artindex
-stages = {"package": loaded()}
+stage("package")
 from artindex import cli
-stages["cli"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
+stage("cli")
+with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as out:
     npgm = cli.main(["index", "--method", "npgm", "--format", "json"])
-    stages["index npgm"] = loaded()
+    stage("index npgm")
     grid = cli.main(["monotonicity", "--method", "hpm", "--mode", "grid", "--format", "json"])
-    stages["monotonicity hpm grid"] = loaded()
-print(json.dumps({"codes": [npgm, grid], "stages": stages}))
+    stage("monotonicity hpm grid")
+    rep = cli.main(["reproduce", "--outdir", out])
+    stage("reproduce")
+print(json.dumps({"codes": [npgm, grid, rep], "stages": stages, "dataclasses": dataclasses}))
 """
 
-    def test_each_command_loads_only_what_it_runs(self):
+    @pytest.fixture(scope="class")
+    def probe(self):
         src = str(Path(artindex.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", self.PROBE],
@@ -829,13 +851,20 @@ print(json.dumps({"codes": [npgm, grid], "stages": stages}))
             check=True,
         )
         result = json.loads(proc.stdout)
-        stages = result["stages"]
-        assert result["codes"] == [0, 4]
+        assert result["codes"] == [0, 4, 3]
+        return result
+
+    def test_each_command_loads_only_what_it_runs(self, probe):
+        stages = probe["stages"]
         assert stages["package"] == []
         audit_only = {"monotonicity", "replication", "regression", "kernels"}
         assert not audit_only & set(stages["cli"])
         assert not audit_only & set(stages["index npgm"])
         assert {"monotonicity", "regression"} <= set(stages["monotonicity hpm grid"])
+
+    def test_no_command_imports_dataclasses(self, probe):
+        # the record types build their methods without it (numpy does not import it either)
+        assert not any(probe["dataclasses"].values()), probe["dataclasses"]
 
 
 class TestReproduceCommand:
@@ -925,7 +954,7 @@ class TestReproduceCommand:
 
     def test_edited_price_fails_fit_ab_check(self, renoir):
         # the A|C prices under the A|B labels
-        edited = replace(renoir, price=perturbed_dataset(renoir).price)
+        edited = renoir.replace(price=perturbed_dataset(renoir).price)
         names, passed, details = _replicate(edited)[0].checks.columns
         by_name = dict(zip(names, zip(passed, details)))
         assert not by_name["fit_ab_coefficients"][0]

@@ -7,7 +7,6 @@ import io
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,7 +356,7 @@ class TestScreen:
     def test_rounding_margin_bounds_the_bundled_scores(self, renoir, scale):
         # at 1e250 and 1e-250, |log p| is about 575 and the 2 |log p| + 1
         # term of the margin dominates
-        ds = replace(renoir, price=renoir.price * scale)
+        ds = renoir.replace(price=renoir.price * scale)
         assert_margin_bounds_the_scores(ds, EXAMPLE_SPEC)
 
     def test_rounding_margin_bounds_the_scores_at_blas_sizes(self, tmp_path):
@@ -368,7 +367,7 @@ class TestScreen:
 
     @pytest.mark.parametrize("scale", [1e250, 1e-250])
     def test_random_is_exact_at_extreme_prices(self, renoir, scale):
-        ds = replace(renoir, price=renoir.price * scale)
+        ds = renoir.replace(price=renoir.price * scale)
         for method in (npgm_method("A"), hpm_method(EXAMPLE_SPEC)):
             with draw_step(ds, method, STEP):
                 report = random_perturbation_audit(ds, method, 200, 7)
@@ -486,7 +485,7 @@ class TestFallBound:
         # above it might not be, and the draws check every trial as before
         price = renoir.price.copy()
         price[renoir.row("29")] = np.nextafter(monotonicity._PRICE_CAP, np.inf) if step else monotonicity._PRICE_CAP
-        ds = replace(renoir, price=price)
+        ds = renoir.replace(price=price)
         method = npgm_method("A")
         with recorded_blocks() as blocks:
             report = random_perturbation_audit(ds, method, 1000, 7)
@@ -717,7 +716,7 @@ class TestCost:
 class TestRankDeficiency:
     def test_audits_raise_what_fit_raises(self, renoir):
         ds = validate_dataset(
-            [replace(o, extra_characteristics={"z": 2.0 * o.area}) for o in renoir.observations]
+            [o.replace(extra_characteristics={"z": 2.0 * o.area}) for o in renoir.observations]
         )
         spec = ModelSpec(regressors=("area", "aspect_ratio", "z"), reference_period="A")
         with pytest.raises(RankDeficientError) as from_fit:
@@ -857,9 +856,9 @@ class TestLazyViolations:
         ):
             by_hand = MonotonicityReport(report.method, report.trials, tuple(report.violations))
             assert report_json(by_hand) == report_json(report) == json.dumps(json.loads(report_json(report)), indent=2)
-            with_melser = replace(report, melser_statistic=0.25)
+            with_melser = report.replace(melser_statistic=0.25)
             assert with_melser.violations is report.violations
-            assert report_json(replace(by_hand, melser_statistic=0.25)) == report_json(with_melser)
+            assert report_json(by_hand.replace(melser_statistic=0.25)) == report_json(with_melser)
         # numpy levels and integer increments are written as floats, as before
         v = search_violations(renoir, method).violations[0]
         numpy_typed = Violation(v.description, v.period, np.float64(v.level_before), np.float64(v.level_after),

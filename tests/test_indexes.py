@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +245,7 @@ class TestMultiPeriod:
 
     def test_decomposition_explains_the_full_models_dummy(self, three_periods):
         report = decompose_index(three_periods, EXAMPLE_SPEC, "P0", "P2")
-        spec = replace(EXAMPLE_SPEC, reference_period="P0")
+        spec = EXAMPLE_SPEC.replace(reference_period="P0")
         delta = fit(three_periods, spec).coefficient("dummy_P2")
         assert report.exp_delta == math.exp(delta)
         assert 100 * report.exp_delta == hpm_timedummy_index(three_periods, spec).level("P2")
@@ -303,7 +302,7 @@ class TestThetaAndDecomposition:
 
     @pytest.mark.parametrize("period0, period1", [("A", "B"), ("B", "A")])
     def test_reads_off_the_fit_with_period0_as_reference(self, renoir, period0, period1):
-        spec = replace(EXAMPLE_SPEC, reference_period=period0)
+        spec = EXAMPLE_SPEC.replace(reference_period=period0)
         result = fit(renoir, spec)
         report = decompose_index(renoir, EXAMPLE_SPEC, period0, period1)
         assert report == _decomposition(result, renoir, spec, period1)

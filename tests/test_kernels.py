@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +104,7 @@ class TestHouseholder:
         # so its R diagonal is ~3e-13 of the largest: below RANK_RTOL
         noise = np.random.default_rng(0).standard_normal(len(renoir))
         records = [
-            replace(obs, extra_characteristics={"z": 2.0 * obs.area + 1e-9 * e})
+            obs.replace(extra_characteristics={"z": 2.0 * obs.area + 1e-9 * e})
             for obs, e in zip(renoir.observations, noise)
         ]
         spec = ModelSpec(regressors=("area", "z"), reference_period="A")
