@@ -9,8 +9,7 @@ when the class has one), ``__repr__`` (``Name(field=value, ...)``),
 class, ``__match_args__``, a ``__setattr__`` and ``__delattr__`` that
 raise ``AttributeError``, and ``replace(**changes)``, also as
 ``__replace__`` for ``copy.replace``. ``eq=False`` keeps the class's own
-equality and hashing, and ``frozen=False`` leaves the fields assignable
-and the record unhashable. A method the class defines itself is kept.
+equality and hashing. A method the class defines itself is kept.
 
 Each method is one closure over the field names: no source is written
 and ``exec``'d, and the annotations are read as names, never evaluated,
@@ -44,10 +43,10 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(annotationlib.get_annotations(cls, format=annotationlib.Format.FORWARDREF))
 
 
-def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
+def record(cls=None, /, *, eq: bool = True):
     """Give ``cls`` its record methods, as ``@record`` or ``@record(eq=False)``."""
     if cls is None:
-        return lambda cls: record(cls, eq=eq, frozen=frozen)
+        return lambda cls: record(cls, eq=eq)
     names = _field_names(cls)
     n, fieldset = len(names), frozenset(names)
     defaults, factories = {}, {}
@@ -118,24 +117,21 @@ def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
         return hash(values(self))
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in fieldset:
-            raise AttributeError(f"cannot assign to field {name!r}")
-        super(cls, self).__setattr__(name, value)
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        if type(self) is cls or name in fieldset:
-            raise AttributeError(f"cannot delete field {name!r}")
-        super(cls, self).__delattr__(name)
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
         """A copy of this record with the fields named in ``changes`` set to their values."""
         return self.__class__(**dict(zip(names, values(self)), **changes))
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "replace": replace, "__replace__": replace}
+    methods = {
+        "__init__": __init__, "__repr__": __repr__, "__setattr__": __setattr__, "__delattr__": __delattr__,
+        "replace": replace, "__replace__": replace,
+    }
     if eq:
-        methods["__eq__"], methods["__hash__"] = __eq__, __hash__ if frozen else None
-    if frozen:
-        methods["__setattr__"], methods["__delattr__"] = __setattr__, __delattr__
+        methods["__eq__"], methods["__hash__"] = __eq__, __hash__
     for name, method in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)

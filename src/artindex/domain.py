@@ -108,6 +108,9 @@ class Dataset:
 
 _BUILTIN_COLUMNS = ("price", "area", "aspect_ratio")
 
+# the characteristics every dataset has, which an extra must not shadow
+_BUILTIN_CHARACTERISTICS = ("area", "aspect_ratio", "log_area")
+
 
 def _floats(column: Sequence[object]) -> np.ndarray:
     if isinstance(column, np.ndarray):
@@ -126,12 +129,14 @@ def _from_columns(
 
     ``numbers`` maps price, area and aspect_ratio to their columns, which
     must be positive and finite; ``extras`` maps each extra
-    characteristic to its column, which must be finite. A column is a
-    float64 array, or a sequence of raw values, where a value that is not
-    a real number a float can hold (numpy scalars included) is a problem
-    too and messages quote values as given. Ids must be distinct, and a
-    supplied period order must list each observed label once. Every
-    problem is raised in one :class:`ValidationError`, row by row.
+    characteristic to its column, which must be finite, under a name that
+    is not a built-in characteristic's (area, aspect_ratio, log_area). A
+    column is a float64 array, or a sequence of raw values, where a value
+    that is not a real number a float can hold (numpy scalars included) is
+    a problem too and messages quote values as given. Ids must be
+    distinct, and a supplied period order must list each observed label
+    once. Every problem is raised in one :class:`ValidationError`, row by
+    row.
     """
     ids = tuple(ids)
     n = len(ids)
@@ -153,7 +158,10 @@ def _from_columns(
         duplicates = {i for i, obs_id in enumerate(ids) if obs_id in seen or seen.add(obs_id)}
         flagged[list(duplicates)] = True
 
-    errors: list[str] = []
+    errors = [
+        f"extra characteristic {name!r} has the name of a built-in characteristic; rename that column"
+        for name in extras if name in _BUILTIN_CHARACTERISTICS
+    ]
     for i in np.flatnonzero(flagged).tolist():
         if i in duplicates:
             errors.append(f"duplicate id {ids[i]!r}")

@@ -15,19 +15,21 @@ Both indexes are log-linear in prices with characteristics held fixed, and
 their weights W = d log I / d log p do not depend on prices. Each audit
 therefore computes the index and W once (one QR for hpm), into the one
 :class:`_Audit` it reads them through, and a perturbed level exactly as
-``level_before[q] * exp(W[q] @ x)`` with x = log(p + inc) - log p, with no
-refit. A grid perturbation raises one sale, so W[q] @ x is one product,
-and the grid computes all of them in one array pass. The random audit
-scores each block of trials with one product against W, under a rounding
-margin fixed once per audit from its price box (every increment below its
-sale's price), and judges exactly only the trials whose score is not clear
-of that margin: all of a block's flagged trials in one array pass, with
-one ``W @ x`` matvec per trial, which is the sum
-:func:`check_monotonicity` computes for a block of one. Each violation an
-audit reports replays through :func:`check_monotonicity` bit for bit.
-An audit keeps its violations as columns, one list per :class:`Violation`
-field from its array pass, which the report writes; the :class:`Violation`
-objects are built on first use.
+``level_before[q] * exp(W[q] @ x)`` with no refit, where
+x = log(p + inc) - log p comes from :meth:`_Audit.log_change` alone
+(infinite for a price raised past the float max, which is refused). A grid
+perturbation raises one sale, so W[q] @ x is one product, and the grid
+computes all of them in one array pass. The random audit scores each block
+of trials with one product against W, under a rounding margin fixed once
+per audit from its price box (every increment below its sale's price), and
+judges exactly only the trials whose score is not clear of that margin,
+all at once in :meth:`_Audit.after`: a stack of ``W @ x`` matvecs, one
+BLAS gemv per trial, the sum :func:`check_monotonicity` computes for a
+block of one. So each violation an audit reports replays through
+:func:`check_monotonicity` bit for bit. An audit keeps its violations as
+columns, one list per :class:`Violation` field from its array pass, which
+the report writes; the :class:`Violation` objects are built once, on first
+use.
 Before drawing, the random audit bounds how far any trial in its box can
 lower each level. Only negative weights can lower one, by at most
 1 - 2^(sum of its negative weights); the bound adds a rounding allowance
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -109,29 +112,28 @@ class _Violations(_Records, Sequence):
     """An audit's violations as columns, one per :class:`Violation` field, under ``keys``.
 
     A perturbation is its increments dict. The report writes the columns as
-    they are; the :class:`Violation` objects are built on first use, then cached.
+    they are; the :class:`Violation` objects are built once, on first use.
     """
 
     keys = ("description", "period", "level_before", "level_after", "perturbation")
 
     def __init__(self, *columns: list):
-        self.columns, self._built = columns or ([], [], [], [], []), None
+        super().__init__(self.keys, columns or ([], [], [], [], []))
 
-    def _violations(self) -> tuple[Violation, ...]:
-        if self._built is None:
-            self._built = tuple(Violation(*v[:4], Perturbation(v[4])) for v in zip(*self.columns))
-        return self._built
+    @cached_property
+    def _built(self) -> tuple[Violation, ...]:
+        return tuple(Violation(*v[:4], Perturbation(v[4])) for v in zip(*self.columns))
 
     def __getitem__(self, i):
-        return self._violations()[i]
+        return self._built[i]
 
     def __eq__(self, other):  # equal to a tuple of the same violations, on either side
         if isinstance(other, _Violations):
-            other = other._violations()
-        return self._violations() == other if isinstance(other, tuple) else NotImplemented
+            other = other._built
+        return self._built == other if isinstance(other, tuple) else NotImplemented
 
     def __repr__(self) -> str:
-        return repr(self._violations())
+        return repr(self._built)
 
 
 def _violation_columns(violations: Sequence[Violation]) -> _Violations:
@@ -174,19 +176,23 @@ class _Audit:
         self.own, self.target_log_prices = ds.period_codes[self.targets], self.log_prices[self.targets]
         self.target_weights = self.weights[:, self.targets].T
 
+    def log_change(self, rows: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        """x = log(p + inc) - log p of sales ``rows`` raised by ``increments``, broadcast together.
+
+        A price raised past the float max gives an infinite x, with no warning.
+        """
+        with np.errstate(over="ignore"):
+            return np.log(self.ds.price[rows] + increments) - self.log_prices[rows]
+
     def after(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
         """Every period's level after each trial of ``block``.
 
         Trial ``k`` adds ``block[k, j]`` to the price of sale ``rows[j]``.
         """
-        ds = self.ds
-        log_change = np.log(ds.price[rows] + block) - self.log_prices[rows]
-        x, s = np.zeros(len(ds)), np.empty((len(block), len(ds.periods)))
-        for k, change in enumerate(log_change):
-            x[rows] = change
-            # one matvec per trial: a k x n product may sum W[q] @ x in another order
-            s[k] = self.weights @ x
-        return self.level_before * np.exp(s)
+        full = np.zeros((len(block), len(self.ds)))
+        full[:, rows] = self.log_change(rows, block)
+        # a stack of matvecs, one BLAS gemv per trial: a k x n product may sum W[q] @ x in another order
+        return self.level_before * np.exp((self.weights @ full[:, :, None])[:, :, 0])
 
     def rounding_margin(self) -> np.ndarray:
         """Per period, how far the random audit's score of a trial can sit from :meth:`after`'s sum."""
@@ -244,17 +250,15 @@ def violations_from(
     return _Violations([description] * len(bad), periods, before, after, [increments] * len(bad))
 
 
-def _check_raised(
-    ds: Dataset, rows: np.ndarray, increments: np.ndarray, raised: np.ndarray, describe
-) -> None:
+def _check_raised(ds: Dataset, rows: np.ndarray, increments: np.ndarray, x: np.ndarray, describe) -> None:
     """Refuse the first price a batch raises past the float range, as :func:`check_increments` does.
 
     Perturbation ``describe(*i)`` adds ``increments[i]`` to sale ``rows[i]``
-    (broadcast), whose price becomes ``raised[i]``.
+    (broadcast), whose log change ``x[i]`` is infinite past the float max.
     """
-    if np.isfinite(raised).all():
+    if np.isfinite(x).all():
         return
-    i = tuple(np.argwhere(~np.isfinite(raised))[0])
+    i = tuple(np.argwhere(~np.isfinite(x))[0])
     obs_id = ds.ids[np.broadcast_to(rows, increments.shape)[i]]
     try:
         check_increments(ds, {obs_id: float(increments[i])})
@@ -322,10 +326,9 @@ def search_violations(
 
     with np.errstate(over="ignore"):
         increments = ds.price[targets, None] * (np.array(grid, dtype=np.float64) - 1.0)
-        raised = ds.price[targets, None] + increments
-        _check_raised(ds, targets[:, None], increments, raised, lambda t, g: describe(targets[t], g))
+        x = audit.log_change(targets[:, None], increments)
+        _check_raised(ds, targets[:, None], increments, x, lambda t, g: describe(targets[t], g))
         # x is exactly zero at every other sale, so the W @ x of _Audit.after is W[own, i] * x_i
-        x = np.log(raised) - audit.target_log_prices[:, None]
         after = before * np.exp(audit.weights[own, targets][:, None] * x)
     dropped = _fell(before, after)
     t, g = np.nonzero(dropped)
@@ -406,13 +409,12 @@ def random_perturbation_audit(
         # every increment is >= 0, so a zero coin's factor gives exactly +0.0
         block = draws[:, 1] * prices
         block *= draws[:, 0] >= 0.5
-        with np.errstate(over="ignore"):
-            raised = prices + block
-        _check_raised(ds, targets, block, raised, lambda k, _: f"trial {start + k}")
+        x = audit.log_change(targets, block)
+        _check_raised(ds, targets, block, x, lambda k, _: f"trial {start + k}")
         perturbed = ((block > 0) @ in_period) > 0
         # where s > margin, the exact judge's s is positive, exp(s) >= 1 and no
         # level falls; a non-finite s or margin fails that test and its trial is judged
-        s = (np.log(raised) - audit.target_log_prices) @ weights
+        s = x @ weights
         flagged = np.flatnonzero((perturbed & ~(s > margin)).any(axis=-1))
         if flagged.size:
             found = _random_violations(audit, start + flagged, block[flagged], perturbed[flagged])

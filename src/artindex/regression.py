@@ -31,14 +31,12 @@ import numpy as np
 
 from . import kernels
 from ._record import record
-from .domain import Dataset
+from .domain import _BUILTIN_CHARACTERISTICS, Dataset
 from .errors import ModelError, RankDeficientError
 
 # columns whose smallest |R| diagonal falls below RANK_RTOL times the
 # largest are treated as linearly dependent
 RANK_RTOL = 1e-10
-
-_BUILTIN_CHARACTERISTICS = ("area", "aspect_ratio", "log_area")
 
 
 def _log(values: np.ndarray) -> np.ndarray:

@@ -16,13 +16,12 @@ scalars (under ``str`` keys) is written by the stdlib's C encoder, with
 ``"," + indent`` between its items. Each record list is built as a
 ``_Records`` (keys and one column per key) where its report is made: a
 fit's terms, an audit's violations and comparisons, ``reproduce``'s
-checks. One with more records than keys is written column by column,
-each record filled from one ``%`` template by ``_records``; a shorter one
-is written record by record. A plain list of dicts is written dict by
-dict. Anything else (a non-``str`` key, a subclass such as
-``np.float64``, an unknown type), and the whole payload on a Python
-without the C encoder, is written by ``json.dumps`` itself, with
-``_Records`` as lists of dicts.
+checks. A non-empty one is written column by column, each record filled
+from one ``%`` template by ``_records``, and an empty one as ``[]``. A
+plain list of dicts is written dict by dict. Anything else (a non-``str``
+key, a subclass such as ``np.float64``, an unknown type), and the whole
+payload on a Python without the C encoder, is written by ``json.dumps``
+itself, with ``_Records`` as lists of dicts.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _column(values) -> list[str]:
     return "".join(_scalar_items("\n")(values, 0))[1:-1].split("\n")
 
 
-@record(frozen=False)
+@record
 class _Records:
     """A record list kept as columns: record ``i`` maps ``keys[j]`` to ``columns[j][i]``."""
 
@@ -170,10 +169,10 @@ def _text(o, indent: str) -> str:
     Only exact-type payloads are written here, each container in one join:
     an item that is an exact-type scalar inline through ``_SCALAR_TEXT``, a
     container of two or more of them (under ``str`` keys) by the C encoder,
-    a ``_Records`` with more records than keys by ``_records`` (a shorter
-    one as its record dicts), and any other item by a call of its own. A
-    plain list of dicts is written dict by dict. Anything else (a non-``str``
-    key, a scalar subclass, an unknown type) is written by ``_stdlib_text``.
+    a non-empty ``_Records`` by ``_records``, and any other item by a call
+    of its own. A plain list of dicts is written dict by dict. Anything else
+    (a non-``str`` key, a scalar subclass, an unknown type) is written by
+    ``_stdlib_text``.
     """
     if type(o) is dict:
         if not o:
@@ -199,9 +198,8 @@ def _text(o, indent: str) -> str:
     if f is not None:
         return f(o)
     if isinstance(o, _Records):
-        if len(o) > len(o.keys):  # by column where that takes fewer encoder calls
-            return "[" + indent + "  " + _records(o.keys, o.columns, indent + "  ") + indent + "]"
-        return _text(_record_dicts(o), indent)
+        inner = indent + "  "
+        return "[" + inner + _records(o.keys, o.columns, inner) + indent + "]" if len(o) else "[]"
     return _stdlib_text(o, indent)
 
 

@@ -226,6 +226,19 @@ class TestFitCommand:
             "rename that characteristic\n"
         )
 
+    @pytest.mark.parametrize("regressors", [[], ["--regressors", "area"]], ids=["default", "area"])
+    def test_extra_named_like_a_built_in_characteristic(self, capsys, tmp_path, regressors):
+        # the bundled file with an extra column named area, which would shadow area_cm2's
+        lines = artindex.bundled_data_path().read_text().splitlines()
+        path = tmp_path / "shadow.csv"
+        path.write_text("\n".join([lines[0] + ",area", *(line + ",1.5" for line in lines[1:])]) + "\n")
+        code, out, err = run(capsys, "fit", "--data", str(path), "--extra-columns", "area", *regressors)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: extra characteristic 'area' has the name of a built-in characteristic; "
+            "rename that column\n"
+        )
+
 
 class TestMonotonicityCommand:
     def test_single_hpm_violation_exit_code(self, capsys):

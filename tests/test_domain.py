@@ -136,6 +136,15 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match="characteristic 'condition'"):
             validate_dataset([obs(extras={"condition": float("nan")})])
 
+    @pytest.mark.parametrize("name", ["area", "aspect_ratio", "log_area"])
+    def test_extra_must_not_shadow_a_built_in_characteristic(self, name):
+        with pytest.raises(ValidationError) as excinfo:
+            validate_dataset([obs(id="1", extras={name: 2.0}), obs(id="2", extras={name: math.nan})])
+        assert excinfo.value.errors == [
+            f"extra characteristic {name!r} has the name of a built-in characteristic; rename that column",
+            f"observation '2': characteristic {name!r} must be a finite number, got nan",
+        ]
+
     def test_idempotent(self, renoir):
         again = validate_dataset(renoir.observations)
         assert again == renoir

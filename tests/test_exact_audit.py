@@ -674,6 +674,25 @@ class TestCost:
             counts.append(len(calls))
         assert counts == [1, 1, 1, 1]
 
+    def test_each_audit_prices_through_log_change(self, renoir, monkeypatch):
+        # x = log(p + inc) - log p has one definition, which every audit's levels come from
+        class Sentinel(Exception):
+            pass
+
+        def refuse(self, rows, increments):
+            raise Sentinel
+
+        monkeypatch.setattr(monotonicity._Audit, "log_change", refuse)
+        method = hpm_method(EXAMPLE_SPEC)
+        audits = (
+            lambda: check_monotonicity(renoir, method, Perturbation({"29": 1.0})),
+            lambda: search_violations(renoir, method),
+            lambda: random_perturbation_audit(renoir, method, 5, 7),
+        )
+        for audit in audits:
+            with pytest.raises(Sentinel):
+                audit()
+
     def test_hpm_audit_factorizations_do_not_grow_with_trials(self, renoir, monkeypatch):
         calls = count_qr(monkeypatch)
         method = hpm_method(EXAMPLE_SPEC)

@@ -64,7 +64,7 @@ CASES = {
     "IndexMethod": (IndexMethod, {}, (_evaluate,), {"evaluate": len}),
     "DecompositionReport": (DecompositionReport, {}, (1.5, 2.0, 3.0, 3.0, 0.0), {"theta": 2.5}),
     "Report": (Report, {}, ("fit", {"format": "json"}, {"n": 1}, ["w"]), {"command": "index"}),
-    "_Records": (_Records, {"frozen": False}, (("a", "b"), [[1, 2], [3.0, None]]), {"keys": ("c", "d")}),
+    "_Records": (_Records, {}, (("a", "b"), [[1, 2], [3.0, None]]), {"keys": ("c", "d")}),
     "ModelSpec": (ModelSpec, {}, ("A", ("area",), (("log_area", 1.0),)), {"reference_period": "B"}),
     "DesignSystem": (DesignSystem, {"eq": False}, (np.eye(2), COLUMN, ("x", "y")), {"column_names": ("u", "v")}),
     "RegressionResult": (
@@ -222,10 +222,6 @@ def test_fields_refuse_set_and_delete(case):
     cls, twin_cls, values, change = case
     (name, value), = change.items()
     for rec in (cls(*values), twin_cls(*values)):
-        if not twin_cls.__dataclass_params__.frozen:
-            setattr(rec, name, value)
-            assert getattr(rec, name) is value
-            continue
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(rec, name, value)
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):

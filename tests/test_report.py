@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artindex import report
 from artindex.monotonicity import _Violations
@@ -55,8 +55,8 @@ trees = st.recursive(
 objects = st.dictionaries(keys, trees, max_size=3)
 
 # lists of 2-6 dicts under one tuple of str keys, such as an audit's
-# violations, and the same records as _Records, which the writer writes
-# column by column when they hold more records than keys
+# violations, and 0-6 records as _Records, which the writer writes column
+# by column
 record_keys = st.one_of(st.sampled_from(["%", "%s", "%%d", '"', "\n", "é€😀", "", "a"]), texts)
 exact_scalars = st.one_of(
     st.none(),
@@ -84,12 +84,19 @@ NEAR_MISSES = ["key order", "extra key", "non-str key", "list of the keys", "dic
 
 
 @st.composite
+def record_columns(draw, min_records=0, min_keys=1):
+    """``min_records``-6 records as ``_Records`` under ``min_keys``-4 str keys, one column per key."""
+    names = draw(st.lists(record_keys, min_size=min_keys, max_size=4, unique=True))
+    n = draw(st.integers(min_value=min_records, max_value=6))
+    return _Records(tuple(names), [draw(st.lists(draw(column_kinds), min_size=n, max_size=n)) for _ in names])
+
+
+@st.composite
 def record_lists(draw, near_miss=False):
     """2-6 dicts under one tuple of 1-4 str keys; with ``near_miss``, one record that breaks the shape."""
-    names = draw(st.lists(record_keys, min_size=2 if near_miss else 1, max_size=4, unique=True))
-    n = draw(st.integers(min_value=2, max_value=6))
-    columns = [draw(st.lists(draw(column_kinds), min_size=n, max_size=n)) for _ in names]
-    records = [dict(zip(names, row)) for row in zip(*columns)]
+    drawn = draw(record_columns(min_records=2, min_keys=2 if near_miss else 1))
+    names, n = drawn.keys, len(drawn)
+    records = [dict(zip(names, row)) for row in zip(*drawn.columns)]
     if near_miss:
         i = draw(st.integers(min_value=0, max_value=n - 1))
         miss = draw(st.sampled_from(NEAR_MISSES))
@@ -136,11 +143,10 @@ def test_writer_matches_stdlib(tree):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    records=st.one_of(
-        record_lists(), record_lists().map(tuple), record_lists(near_miss=True), record_lists().map(columns_of)
-    )
-)
+@given(records=st.one_of(record_lists(), record_lists().map(tuple), record_lists(near_miss=True), record_columns()))
+# an audit with no violations, and a single audit's one comparison
+@example(records=_Violations())
+@example(records=_Records(("period", "level_before", "level_after", "compliant"), (["B"], [100.5], [99.5], [False])))
 def test_record_lists_match_stdlib(records):
     tree = {"body": {"violations": records}}
     assert _indented_json(records) == json.dumps(records, indent=2, default=as_records)
@@ -196,7 +202,6 @@ EDGE_TREES = [
     {"a": {"b": 1.0}, "c": [[1.0]]},
     {"a": {1.5: [1.0, None]}, "b": {"c": np.float64(2.0)}},
     # record lists as _Records, which the C encoder writes column by column
-    # when they hold more records than keys and record by record otherwise
     columns_of(VIOLATIONS),
     {"body": {"violations": columns_of(VIOLATIONS)}},
     columns_of(ESCAPED_KEYS),
