@@ -246,11 +246,18 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if summary.passed else EXIT_DATA
 
 
+def path(text: str) -> str:
+    """A path option's value: any text but the empty one, which names no file."""
+    if not text:
+        raise ValueError(text)
+    return text
+
+
 # One row per option: attribute name (the long option with ``-`` for ``_``),
 # default (``...``: required), converter (``None``: a flag, true when given),
 # choices and help.
 _DATA_OPTIONS = (
-    ("data", None, str, (), "input CSV path (default: the bundled Renoir 1989-1990 dataset)"),
+    ("data", None, path, (), "input CSV path (default: the bundled Renoir 1989-1990 dataset)"),
     ("id_column", "id", str, (), "observation id column"),
     ("period_column", "dataset", str, (), "period column"),
     ("price_column", "price_usd", str, (), "price column"),
@@ -286,7 +293,7 @@ _COMMANDS = {  # name: (command, help, option rows)
     "monotonicity": (_cmd_monotonicity, "audit an index method against the monotonicity requirement", (
         *_DATA_OPTIONS, *_INDEX_OPTIONS, *_AUDIT_OPTIONS, _FORMAT)),
     "reproduce": (_cmd_reproduce, "recompute the bundled example and verify it against reference values", (
-        ("outdir", ..., str, (), "directory the output files are written to"), _FORMAT)),
+        ("outdir", ..., path, (), "directory the output files are written to"), _FORMAT)),
 }
 _TOP = (None, "Price indexes for heterogeneous asset sales, computed from normalized-price geometric\nmeans "
         "or hedonic time dummies, with monotonicity audits. Options may be abbreviated.",

@@ -124,8 +124,9 @@ def _split_unquoted(text: str, has_header: bool) -> _Table | None:
     if '"' in text or "\0" in text:
         return None
     # csv.reader's lines: each ends at \r\n, \r or \n, never at the other
-    # characters str.splitlines() breaks at
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # characters str.splitlines() breaks at (with no \r, the text as it is)
+    unix = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    lines = unix.split("\n")
     if not lines[-1]:
         lines.pop()  # after the last line end, or the empty text
     limit = csv.field_size_limit()

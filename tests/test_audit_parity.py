@@ -48,11 +48,21 @@ def test_report_is_byte_identical(name):
 
 
 def test_reproduce_files_are_byte_identical(tmp_path):
-    assert run_reproduce(tmp_path) == EXIT_CODES[REPRODUCE]
+    # into a fresh directory, then over the same files made longer and shorter
+    stale = {
+        "fresh": None,
+        "longer": lambda b: b + b"junk\n" * 2000,  # about 10 KB past the new end
+        "shorter": lambda b: b[: b.index(b"\n") + 1],  # the first line alone
+    }
     expected = sorted(p.name for p in (CORPUS / REPRODUCE).iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == expected
-    for name in expected:
-        assert (tmp_path / name).read_bytes() == (CORPUS / REPRODUCE / name).read_bytes(), name
+    for case, edit in stale.items():
+        if edit is not None:
+            for name in expected:
+                (tmp_path / name).write_bytes(edit((tmp_path / name).read_bytes()))
+        assert run_reproduce(tmp_path) == EXIT_CODES[REPRODUCE], case
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected, case
+        for name in expected:
+            assert (tmp_path / name).read_bytes() == (CORPUS / REPRODUCE / name).read_bytes(), (case, name)
 
 
 def test_no_command_takes_the_stdlib_writer(tmp_path, monkeypatch):

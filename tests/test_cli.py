@@ -23,6 +23,7 @@ from artindex import SaleObservation, fit
 from conftest import EXAMPLE_SPEC, generated_csv
 
 PANEL_AUDIT = ["--data", str(Path(__file__).parent / "data" / "audit_parity" / "panel_audit.csv")]
+REPRODUCE_CORPUS = Path(__file__).parent / "data" / "audit_parity" / "reproduce"
 FOUR_PERIODS = "the association diagnostic needs exactly two periods (base plus one), dataset has 4"
 RANDOM_20000 = ["--mode", "random", "--trials", "20000", "--seed", "1"]
 
@@ -682,6 +683,24 @@ class TestOptionParsing:
         assert (code, out) == (2, "")
         assert err.endswith("error: argument --seed: invalid int value: '-1e5'\n")
 
+    @pytest.mark.parametrize("command,option", [
+        ("index", "data"), ("fit", "data"), ("monotonicity", "data"), ("reproduce", "outdir"),
+    ])
+    @pytest.mark.parametrize("spelling", ["separate", "equals", "config"])
+    def test_empty_path_is_usage_error(self, capsys, tmp_path, monkeypatch, command, option, spelling):
+        # an empty path names no file: it would read or write the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = TestConfigFile.config(tmp_path, **{option: ""})
+        argv = {
+            "separate": [command, f"--{option}", ""],
+            "equals": [command, f"--{option}="],
+            "config": ["--config", cfg, command],
+        }[spelling]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"artindex {command}: error: argument --{option}: invalid path value: ''\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
     def test_help_lists_every_option(self, capsys, command):
         argv = ["--help"] if command is None else [command, "--help"]
@@ -982,6 +1001,30 @@ class TestReproduceCommand:
         code, out, err = run(capsys, "reproduce", "--outdir", str(target))
         assert (code, out) == (3, "")
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    def test_directory_in_place_of_an_output_file_is_data_error(self, capsys, tmp_path):
+        # refused by open() itself, so it holds whatever the user's permissions
+        (tmp_path / "summary.txt").mkdir()
+        code, out, err = run(capsys, "reproduce", "--outdir", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+    def test_output_files_are_not_truncated_on_open(self, capsys, tmp_path, monkeypatch):
+        from artindex import replication
+
+        opened = []
+        os_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((Path(path).name, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(replication.os, "open", spy)
+        run(capsys, "reproduce", "--outdir", str(tmp_path))
+        run(capsys, "reproduce", "--outdir", str(tmp_path))
+        names = sorted(p.name for p in REPRODUCE_CORPUS.iterdir())
+        assert sorted(name for name, _ in opened) == sorted(names * 2)
+        assert not [name for name, flags in opened if flags & os.O_TRUNC]
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(
